@@ -13,9 +13,12 @@ ratio-style metrics such as speedups, which are stable across hardware,
 rather than absolute tuples/s).
 
 Histogram-percentile metrics — names containing `_p50_us`, `_p95_us`, or
-`_p99_us` (the e2e latency percentiles the benches emit) — are
-lower-is-better: the current value must be at most (1 + tolerance) x the
-reference, a ceiling instead of a floor.
+`_p99_us` (the e2e latency percentiles the benches emit) — and byte costs —
+names ending in `_bytes_per_tuple`, optionally followed by a configuration
+suffix such as `_2w` (the wire and journal bytes per tuple the federation
+bench emits) —
+are lower-is-better: the current value must be at most (1 + tolerance) x
+the reference, a ceiling instead of a floor.
 
 --fallback names the bench JSON uploaded by the *previous* CI run (same
 runner fleet, hence comparable hardware). When a gated metric — or the
@@ -34,6 +37,7 @@ never a bare traceback.
 import argparse
 import json
 import numbers
+import re
 import sys
 
 
@@ -60,9 +64,23 @@ def load_metrics(path, role):
 #: Substrings marking a latency-percentile metric (lower is better).
 LATENCY_MARKERS = ("_p50_us", "_p95_us", "_p99_us")
 
+#: A byte cost per tuple (lower is better): `_bytes_per_tuple` at the end of
+#: the name or before a configuration suffix of a count and a unit
+#: (`fed_journal_bytes_per_tuple_2w`, `..._4shard`).
+BYTES_MARKER = re.compile(r"_bytes_per_tuple(_[0-9]+[a-z]*)?$")
+
 
 def is_latency_metric(name):
     return any(marker in name for marker in LATENCY_MARKERS)
+
+
+def lower_is_better(name):
+    """Which way `name` regresses: up for latencies and byte costs."""
+    if is_latency_metric(name):
+        return "latency"
+    if BYTES_MARKER.search(name):
+        return "byte cost"
+    return None
 
 
 def check(current, baseline, metrics, tolerance, fallback=None,
@@ -109,13 +127,15 @@ def check(current, baseline, metrics, tolerance, fallback=None,
             print(f"!! {msg}")
             failures.append(msg)
             continue
-        if is_latency_metric(name):
-            # Latency percentiles: lower is better, gate on a ceiling.
+        kind = lower_is_better(name)
+        if kind is not None:
+            # Latency percentiles and byte costs: lower is better, gate on
+            # a ceiling.
             ceiling = (1.0 + tolerance) * ref
             ok = current[name] <= ceiling
             print(f"{'ok' if ok else '!!'} {name}: "
                   f"current={current[name]:.4g} {source}={ref:.4g} "
-                  f"ceiling={ceiling:.4g} (latency: lower is better)")
+                  f"ceiling={ceiling:.4g} ({kind}: lower is better)")
             if not ok:
                 failures.append(f"{name}: {current[name]:.4g} > ceiling "
                                 f"{ceiling:.4g} (vs {source})")
@@ -221,6 +241,44 @@ def self_test():
                run([lat_slow, sparse, "--fallback", lat_ref, "--metrics",
                     "e2e_p50_us_run", "--tolerance", "0.2"]), 1,
                "previous-run artifact")
+
+        # Byte costs per tuple (lower is better), with or without a
+        # configuration suffix: a drop passes, growth beyond the ceiling
+        # fails, growth within it passes, and a name where the marker is
+        # followed by another word still gates as higher-is-better.
+        bytes_ref = write("bytes_ref.json",
+                          '{"fed_wire_bytes_per_tuple_2w": 800.0, '
+                          '"journal_bytes_per_tuple": 400.0, '
+                          '"wire_bytes_per_tuple_ratio": 2.0}')
+        bytes_drop = write("bytes_drop.json",
+                           '{"fed_wire_bytes_per_tuple_2w": 300.0, '
+                           '"journal_bytes_per_tuple": 100.0, '
+                           '"wire_bytes_per_tuple_ratio": 2.0}')
+        bytes_grow = write("bytes_grow.json",
+                           '{"fed_wire_bytes_per_tuple_2w": 1200.0, '
+                           '"journal_bytes_per_tuple": 440.0, '
+                           '"wire_bytes_per_tuple_ratio": 1.0}')
+        expect("byte drop passes",
+               run([bytes_drop, bytes_ref, "--metrics",
+                    "fed_wire_bytes_per_tuple_2w,journal_bytes_per_tuple",
+                    "--tolerance", "0.2"]), 0,
+               "byte cost: lower is better")
+        expect("suffixed byte growth fails",
+               run([bytes_grow, bytes_ref, "--metrics",
+                    "fed_wire_bytes_per_tuple_2w", "--tolerance", "0.2"]), 1,
+               "!! fed_wire_bytes_per_tuple_2w")
+        expect("unsuffixed byte growth within tolerance passes",
+               run([bytes_grow, bytes_ref, "--metrics",
+                    "journal_bytes_per_tuple", "--tolerance", "0.2"]), 0,
+               "ok journal_bytes_per_tuple")
+        expect("unsuffixed byte growth beyond tolerance fails",
+               run([bytes_grow, bytes_ref, "--metrics",
+                    "journal_bytes_per_tuple", "--tolerance", "0.05"]), 1,
+               "!! journal_bytes_per_tuple")
+        expect("marker before another word stays higher-is-better",
+               run([bytes_grow, bytes_ref, "--metrics",
+                    "wire_bytes_per_tuple_ratio", "--tolerance", "0.2"]), 1,
+               "floor=")
 
         # --fallback: newly added metric keys gate against the previous
         # run's artifact; first introductions record instead of failing.

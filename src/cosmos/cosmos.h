@@ -168,12 +168,13 @@ class Cosmos {
     /// FederationOptions::faults entries installed on worker channels.
     std::size_t faults_injected = 0;
     /// Frames/bytes the workers sent over worker-to-worker peer links
-    /// (kPeerHello + peer-shipped kExecute), summed across the fleet.
+    /// (kPeerHello + peer-shipped kExecuteBundle), summed across the fleet.
     std::uint64_t peer_frames = 0;
     std::uint64_t peer_bytes = 0;
-    /// Bytes of kExecute frames the *driver* sent. With peer_links on this
-    /// is ~0 — batches travel worker-to-worker and the driver only ships
-    /// compact kRouteDecision frames (recovery replay is the exception).
+    /// Bytes of kExecuteBundle frames the *driver* sent. With peer_links
+    /// on this is ~0 — runs travel worker-to-worker and the driver only
+    /// ships compact kRouteDecision frames (recovery replay is the
+    /// exception).
     std::uint64_t driver_execute_bytes = 0;
     /// Serialized join-state bytes actually shipped in kStateHandoff
     /// frames (measured on the wire, not modeled).
@@ -253,11 +254,12 @@ class Cosmos {
   // Unix-domain), hosting a slice of the engines and matching the source
   // streams it owns. The driver replicates the topology, schemas, p1
   // subscriptions and unit deployments over registration frames, then
-  // pipelines driver chunks exactly like run(): match requests go to each
-  // stream's owner worker, responses are routed *on the driver* into
-  // per-engine row selections (so routing policy lives in one place),
-  // pre-routed batches go to each engine's worker, and result tuples come
-  // back for p2 delivery on the driver thread. Per-channel FIFO plays the
+  // pipelines driver chunks exactly like run(): one match request per
+  // (chunk, owner worker) carries that owner's runs, responses are routed
+  // *on the driver* into per-engine row selections (so routing policy lives
+  // in one place), one execute bundle per (chunk, target worker) carries
+  // each run once plus the per-engine slices, and result tuples come back
+  // for p2 delivery on the driver thread. Per-channel FIFO plays the
   // role of shard-queue FIFO, so per-query result sequences stay
   // byte-identical to push() — the federation differential tests assert it
   // across worker counts and live migrations. The per-chunk match barrier
@@ -300,10 +302,10 @@ class Cosmos {
     /// when tracing or sampling is on.
     stream::Timestamp stats_sample_every_ms = 0;
     /// Peer-link mode: the driver distributes the fleet endpoint table
-    /// (kPeerTable), match-owner workers retain their batches, and the
-    /// driver's route stage sends compact kRouteDecision frames — execute
-    /// batches then travel worker-to-worker instead of bouncing through
-    /// the driver. Results are byte-identical either way (per-engine seq
+    /// (kPeerTable), match-owner workers retain their runs, and the
+    /// driver's route stage sends one compact kRouteDecision per (chunk,
+    /// owner) — execute bundles then travel worker-to-worker instead of
+    /// bouncing through the driver. Results are byte-identical either way (per-engine seq
     /// ordering replaces single-channel FIFO); false keeps the star path
     /// as the differential oracle.
     bool peer_links = false;

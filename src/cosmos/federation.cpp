@@ -3,15 +3,23 @@
 // wire::FrameChannel; the channel's reader thread funnels every inbound
 // frame into a small mutex-guarded inbox the driver thread waits on.
 //
+// Data traffic is chunk-granular (wire protocol v4): per chunk, each owner
+// worker gets one kMatchRequest with all of its runs and answers with one
+// kMatchResponse; the route stage then sends each target worker one
+// kExecuteBundle carrying every run it needs once plus one (engine, seq,
+// run, rows) entry per engine slice — the per-chunk slice shape
+// Cosmos::dispatch_chunk uses in-process, applied at the wire.
+//
 // Determinism argument, mirroring run(): routing happens on the driver in
-// chunk/run order and assigns every execute a per-engine sequence number;
-// each site applies an engine's executes strictly in seq order, so per-query
-// result sequences are byte-identical to push() at any worker count —
-// whether batches travel the star channels (peer_links=false, FIFO makes
-// the seqs trivially in order) or worker-to-worker peer links
+// chunk/run order and assigns every engine slice a per-engine sequence
+// number; each site applies an engine's slices strictly in seq order, so
+// per-query result sequences are byte-identical to push() at any worker
+// count — whether bundles travel the star channels (peer_links=false, FIFO
+// makes the seqs trivially in order) or worker-to-worker peer links
 // (peer_links=true, the site's holdback/dedup re-establishes seq order).
-// The per-chunk match barrier of run() is relaxed to a bounded window of
-// in-flight chunks (max_inflight_chunks).
+// Bundling changes only how slices are grouped into frames, never their
+// seqs. The per-chunk match barrier of run() is relaxed to a bounded
+// window of in-flight chunks (max_inflight_chunks).
 //
 // Worker restart recovery (FederationOptions::recovery): the driver retains
 // every registration frame plus a data log of routed executes since the
@@ -157,20 +165,25 @@ struct Cosmos::Fed {
   /// Deployments are excluded — recovery re-deploys via kMigrateIn, which
   /// also restores state and the seq cut.
   std::vector<wire::Frame> reg_log;
-  /// One routed execute since the last checkpoint. `owner` is the match
-  /// owner that ships the batch in peer-link mode (SIZE_MAX on the star
-  /// path, where the driver itself sent the frame): replay re-sends an
+  /// One routed engine slice since the last checkpoint. `owner` is the
+  /// match owner that ships it in peer-link mode (SIZE_MAX on the star
+  /// path, where the driver itself sent the bundle): replay re-sends an
   /// entry when its current target OR its owner is the recovered worker —
-  /// covering both a lost shipment and a lost route decision.
+  /// covering both a lost shipment and a lost route decision. `chunk`
+  /// groups a routed chunk's entries so replay re-bundles them per chunk.
   struct DataLogEntry {
     std::size_t owner = SIZE_MAX;
     NodeId engine;
     std::uint64_t seq = 0;
+    wire::SharedRun run;
     std::vector<std::uint32_t> rows;  ///< empty = all rows of `run`
-    std::shared_ptr<const runtime::TupleBatch> run;
     std::uint64_t ingest_ns = 0;
+    std::uint64_t chunk = 0;
   };
   std::vector<DataLogEntry> data_log;
+  /// Distinct per routed chunk (and per resumed journal bundle): the
+  /// DataLogEntry::chunk grouping key.
+  std::uint64_t logged_chunks = 0;
   /// Retention accounting: entries ever appended vs the peak held at once
   /// (the boundedness proof in RunReport::federation).
   std::size_t data_log_appended = 0;
@@ -223,15 +236,24 @@ struct Cosmos::Fed {
   bool has_watermark = false;
   std::uint64_t driver_execute_bytes = 0;
 
-  /// One dispatched run awaiting (or exempt from) its match response.
+  /// One dispatched run. `match` indexes its owner's PendingMatch (SIZE_MAX:
+  /// zero subscriptions, nothing to match); `slot` is its position in that
+  /// match request, hence in the response and the owner's retained runs.
   struct PendingRun {
-    std::shared_ptr<const runtime::TupleBatch> run;
-    std::uint64_t job = 0;
-    std::size_t owner = 0;  ///< the stream owner the match request went to
-    bool awaiting = false;  ///< false: zero subscriptions, nothing to match
+    wire::SharedRun run;
+    std::size_t owner = 0;  ///< the stream owner
+    std::size_t match = SIZE_MAX;
+    std::uint32_t slot = 0;
+  };
+  /// One (chunk, owner) match request awaiting its response; kept whole so
+  /// a stall or a recovery can re-send it.
+  struct PendingMatch {
+    std::size_t owner = 0;
+    wire::MatchRequestMsg request;
   };
   struct PendingChunk {
     std::vector<PendingRun> runs;
+    std::vector<PendingMatch> matches;
     stream::Timestamp last_ts = 0;
     std::uint64_t ingest_ns = 0;  ///< Chunk::ingest_ns, echoed on executes
     std::uint64_t index = 0;      ///< chunk_index at dispatch
@@ -484,26 +506,36 @@ struct Cosmos::Fed {
     }
   }
 
-  /// Re-sends every data-log entry matching `match` as a plain driver
-  /// execute — the shared replay core of worker recovery, peer-link
-  /// fallback and kSeqGap repair. Receiving sites drop seqs below their
-  /// frontier, so over-replaying is safe. Runs on the driver thread with
-  /// the inbox lock released.
+  /// Driver-sent bundle: counted in driver_execute_bytes.
+  void send_bundle(std::size_t w, wire::Frame frame) {
+    driver_execute_bytes += frame.payload.size() + wire::kFrameHeaderBytes;
+    send_data(w, std::move(frame));
+  }
+
+  /// Re-sends every data-log entry matching `match` as driver bundles, one
+  /// per (logged chunk, current target worker) — the shared replay core of
+  /// worker recovery, peer-link fallback and kSeqGap repair. Receiving
+  /// sites drop seqs below their frontier, so over-replaying is safe. Runs
+  /// on the driver thread with the inbox lock released.
   template <typename Match>
   void replay_entries(Match match) {
-    for (const auto& entry : data_log) {
-      if (!match(entry)) continue;
-      const std::size_t tgt = worker_of_engine.at(entry.engine);
-      wire::ExecuteMsg exec;
-      exec.engine = entry.engine;
-      exec.ingest_ns = entry.ingest_ns;
-      exec.seq = entry.seq;
-      exec.batch =
-          entry.rows.empty() ? *entry.run : entry.run->select(entry.rows);
-      auto frame = wire::encode_execute(exec);
-      driver_execute_bytes += frame.payload.size() + wire::kFrameHeaderBytes;
-      send_data(tgt, std::move(frame));
+    std::map<std::size_t, wire::ExecuteBundleMsg> bundles;  // by target
+    std::uint64_t chunk = 0;
+    const auto flush = [&] {
+      for (const auto& [w, b] : bundles) {
+        send_bundle(w, wire::encode_execute_bundle(b));
+      }
+      bundles.clear();
+    };
+    for (const auto& e : data_log) {
+      if (!match(e)) continue;
+      if (e.chunk != chunk) flush();
+      chunk = e.chunk;
+      auto& b = bundles[worker_of_engine.at(e.engine)];
+      b.ingest_ns = e.ingest_ns;
+      b.add(e.engine, e.seq, e.run, e.rows);
     }
+    flush();
   }
 
   /// A worker reported its outbound peer link dead (re-dials exhausted):
@@ -594,7 +626,7 @@ struct Cosmos::Fed {
     reg_log.push_back(std::move(frame));
   }
 
-  /// Appends one routed execute to the in-memory data log, tracking the
+  /// Appends one routed slice to the in-memory data log, tracking the
   /// retention counters the boundedness test asserts on.
   void log_append(DataLogEntry&& entry) {
     data_log.push_back(std::move(entry));
@@ -845,21 +877,28 @@ struct Cosmos::Fed {
       }
     }
 
-    // Replay the journaled whole-chunk executes in route order as plain
-    // driver sends, re-advancing each engine's seq frontier past them. The
-    // batches also seed the in-memory data log: with worker recovery on,
-    // the since-checkpoint window must be re-sendable until the fresh cut
-    // below resets it.
-    for (const auto& m : rec.executes) {
-      auto& frontier = next_exec_seq[m.engine.value()];
-      frontier = std::max(frontier, m.seq + 1);
-      auto frame = wire::encode_execute(m);
-      driver_execute_bytes += frame.payload.size() + wire::kFrameHeaderBytes;
-      send_data(worker_of_engine.at(m.engine), std::move(frame));
-      if (log_data) {
-        log_append({SIZE_MAX, m.engine, m.seq, {},
-                    std::make_shared<const runtime::TupleBatch>(m.batch),
-                    m.ingest_ns});
+    // Replay the journaled whole-chunk bundles in route order as driver
+    // sends, re-advancing each engine's seq frontier past them. A bundle
+    // is re-split by the restored placement (an engine migrated after the
+    // cut is back on its checkpoint worker). The slices also seed the
+    // in-memory data log: with worker recovery on, the since-checkpoint
+    // window must be re-sendable until the fresh cut below resets it.
+    for (const auto& b : rec.bundles) {
+      const std::uint64_t chunk = ++logged_chunks;
+      std::map<std::size_t, wire::ExecuteBundleMsg> by_worker;
+      for (const auto& e : b.entries) {
+        auto& frontier = next_exec_seq[e.engine.value()];
+        frontier = std::max(frontier, e.seq + 1);
+        auto& out = by_worker[worker_of_engine.at(e.engine)];
+        out.ingest_ns = b.ingest_ns;
+        out.add(e.engine, e.seq, b.runs[e.run], e.rows);
+        if (log_data) {
+          log_append({SIZE_MAX, e.engine, e.seq, b.runs[e.run], e.rows,
+                      b.ingest_ns, chunk});
+        }
+      }
+      for (const auto& [w, out] : by_worker) {
+        send_bundle(w, wire::encode_execute_bundle(out));
       }
     }
 
@@ -1023,6 +1062,7 @@ struct Cosmos::Fed {
     events_consumed += chunk.tuples;
     pc.events_through = events_consumed;
     pc.runs.reserve(chunk.runs.size());
+    std::vector<std::size_t> match_of_owner(workers.size(), SIZE_MAX);
     for (runtime::TupleBatch& run : chunk.runs) {
       auto* part = sys.broker_.partition(run.stream());
       if (part == nullptr) {
@@ -1043,27 +1083,38 @@ struct Cosmos::Fed {
               "Cosmos: federated trace event on non-source stream " +
               pr.run->stream()};
         }
-        pr.job = next_job++;
         pr.owner = oit->second;
-        pr.awaiting = true;
-        send_data(pr.owner, wire::encode_match_request({pr.job, *pr.run}));
+        // One match request per (chunk, owner), runs in chunk order.
+        std::size_t& mi = match_of_owner[pr.owner];
+        if (mi == SIZE_MAX) {
+          mi = pc.matches.size();
+          pc.matches.push_back({pr.owner, {next_job++, {}}});
+        }
+        pr.match = mi;
+        auto& runs = pc.matches[mi].request.runs;
+        pr.slot = static_cast<std::uint32_t>(runs.size());
+        runs.push_back(pr.run);
       }
       pc.runs.push_back(std::move(pr));
+    }
+    for (const auto& pm : pc.matches) {
+      send_data(pm.owner, wire::encode_match_request(pm.request));
     }
     pending.push_back(std::move(pc));
     ++report.chunks;
     report.driver.dispatch_cpu_seconds += thread_cpu_seconds() - cpu0;
   }
 
-  /// Awaits the oldest in-flight chunk's match responses, routes them into
-  /// per-engine executes, and sends each worker the chunk watermark with
-  /// its current seq floors.
+  /// Awaits the oldest in-flight chunk's match responses (one per owner),
+  /// routes them into execute bundles, and sends each worker the chunk
+  /// watermark with its current seq floors.
   void complete_front() {
     // The front chunk stays in `pending` across the wait: a recovery
     // dispatched from wait_for re-sends match requests by walking
-    // `pending`, and popping first would hide exactly the runs whose
-    // request died with the worker (the wait would then never finish).
-    std::vector<wire::MatchResponseMsg> responses(pending.front().runs.size());
+    // `pending`, and popping first would hide exactly the requests that
+    // died with the worker (the wait would then never finish).
+    const auto& matches = pending.front().matches;
+    std::vector<wire::MatchResponseMsg> responses(matches.size());
     {
       const TimePoint wait0 = Clock::now();
       const obs::Span span{"match_wait", "driver",
@@ -1072,10 +1123,8 @@ struct Cosmos::Fed {
       wait_for(
           lock,
           [&] {
-            for (const auto& pr : pending.front().runs) {
-              if (pr.awaiting && !match_responses.contains(pr.job)) {
-                return false;
-              }
+            for (const auto& pm : matches) {
+              if (!match_responses.contains(pm.request.job)) return false;
             }
             return true;
           },
@@ -1083,38 +1132,43 @@ struct Cosmos::Fed {
             // Re-send every still-unanswered match request: a drop fault
             // can swallow the request (or the response) with the owner
             // alive. Duplicate responses are emplace-deduped.
-            for (const auto& pr : pending.front().runs) {
-              if (!pr.awaiting) continue;
+            for (const auto& pm : matches) {
               bool answered = false;
               {
                 std::lock_guard g{mu};
-                answered = match_responses.contains(pr.job);
+                answered = match_responses.contains(pm.request.job);
               }
               if (!answered) {
-                send_data(pr.owner,
-                          wire::encode_match_request({pr.job, *pr.run}));
+                send_data(pm.owner, wire::encode_match_request(pm.request));
               }
             }
           });
       report.driver.match_wait_seconds += seconds_since(wait0);
-      for (std::size_t i = 0; i < pending.front().runs.size(); ++i) {
-        if (!pending.front().runs[i].awaiting) continue;
-        auto node = match_responses.extract(pending.front().runs[i].job);
-        responses[i] = std::move(node.mapped());
+      for (std::size_t m = 0; m < matches.size(); ++m) {
+        auto node = match_responses.extract(matches[m].request.job);
+        responses[m] = std::move(node.mapped());
       }
     }
     PendingChunk chunk = std::move(pending.front());
     pending.pop_front();
+    for (std::size_t m = 0; m < chunk.matches.size(); ++m) {
+      if (responses[m].runs.size() != chunk.matches[m].request.runs.size()) {
+        throw wire::Error{
+            "Cosmos federation: match response covers " +
+            std::to_string(responses[m].runs.size()) + " runs, request had " +
+            std::to_string(chunk.matches[m].request.runs.size())};
+      }
+    }
 
     route_and_execute(chunk, responses);
-    // The chunk-routed marker lands only after every execute of the chunk
+    // The chunk-routed marker lands only after every bundle of the chunk
     // is journaled: recovery replays whole-chunk prefixes and regenerates a
     // partial tail by deterministic re-routing (see journal::ChunkRouted).
     if (jw) {
       jw->chunk_routed({chunk.index, chunk.events_through, chunk.last_ts});
     }
-    // Watermark after the chunk's executes: the per-engine floors make the
-    // site defer pruning until every older execute (possibly still in
+    // Watermark after the chunk's bundles: the per-engine floors make the
+    // site defer pruning until every older slice (possibly still in
     // flight on a peer link) has been applied, so join-state pruning only
     // drops tuples no future arrival can pair with.
     for (std::size_t w = 0; w < workers.size(); ++w) {
@@ -1126,22 +1180,32 @@ struct Cosmos::Fed {
 
   /// The route stage of run(), frame-producing: union of matched rows per
   /// subscriber engine (a tuple reaches an engine once however many
-  /// subscriptions matched), per-engine batches in run order, each stamped
-  /// with its engine's next seq. Star path: the driver sends the kExecute
-  /// itself. Peer-link path: the driver sends the match owner one compact
-  /// kRouteDecision and the owner ships the retained batch's slices
-  /// worker-to-worker. Either way the route is appended to the data log
-  /// for recovery replay.
+  /// subscriptions matched), one slice per (run, engine) stamped with its
+  /// engine's next seq. Star path: the slices go into one execute bundle
+  /// per target worker, sent by the driver. Peer-link path: each match
+  /// owner gets one compact kRouteDecision for the chunk and ships bundles
+  /// of its retained runs worker-to-worker. With journaling on, one bundle
+  /// per target worker holding every slice of the chunk is journaled.
+  /// Either way every slice is appended to the data log for replay.
   void route_and_execute(const PendingChunk& chunk,
-                         std::vector<wire::MatchResponseMsg>& responses) {
+                         const std::vector<wire::MatchResponseMsg>& responses) {
     const double route_cpu0 = thread_cpu_seconds();
     const obs::Span route_span{"route", "driver", chunk.runs.size()};
+    const std::size_t n = workers.size();
+    std::vector<wire::ExecuteBundleMsg> star(n);
+    // Peer-link mode journals a separate bundle per target holding every
+    // slice (star and peer-shipped alike); star mode journals `star`.
+    std::vector<wire::ExecuteBundleMsg> journaled(
+        jw && options.peer_links ? n : 0);
+    std::vector<wire::RouteDecisionMsg> decisions(
+        options.peer_links ? chunk.matches.size() : 0);
+    const std::uint64_t logged = ++logged_chunks;
     std::map<NodeId, std::vector<char>> mask_of;
-    for (std::size_t i = 0; i < chunk.runs.size(); ++i) {
-      const PendingRun& pr = chunk.runs[i];
+    for (const PendingRun& pr : chunk.runs) {
+      if (pr.match == SIZE_MAX) continue;  // unsubscribed: nothing matched
       const auto& run = *pr.run;
       mask_of.clear();
-      for (auto& [sub_id, rows] : responses[i].deliveries) {
+      for (const auto& [sub_id, rows] : responses[pr.match].runs[pr.slot]) {
         const auto* sub = sys.broker_.subscription(sub_id);
         if (sub == nullptr) {
           throw wire::Error{
@@ -1158,9 +1222,6 @@ struct Cosmos::Fed {
           mask[row] = 1;
         }
       }
-      wire::RouteDecisionMsg decision;
-      decision.job = pr.job;
-      decision.ingest_ns = chunk.ingest_ns;
       for (const auto& [node, mask] : mask_of) {
         const auto eit = sys.engines_.find(node);
         if (eit == sys.engines_.end() ||
@@ -1180,49 +1241,44 @@ struct Cosmos::Fed {
         }
         const std::size_t tgt = worker_of_engine.at(node);
         // A pair whose peer link fell back to star routing (kPeerDown)
-        // gets its batches from the driver for the rest of the run.
+        // gets its slices from the driver for the rest of the run.
         const bool peer_path =
             options.peer_links &&
             !peer_down_pairs.contains({static_cast<std::uint32_t>(pr.owner),
                                        static_cast<std::uint32_t>(tgt)});
         if (peer_path) {
-          // Journal before the decision ships: once the owner slices and
-          // sends worker-to-worker the driver never sees these bytes again.
-          if (jw) {
-            wire::ExecuteMsg exec;
-            exec.engine = node;
-            exec.ingest_ns = chunk.ingest_ns;
-            exec.seq = seq;
-            exec.batch = rows.empty() ? run : run.select(rows);
-            jw->execute(exec);
-          }
-          decision.targets.push_back(
-              {node, static_cast<std::uint32_t>(tgt), seq, rows});
-          if (log_data) {
-            log_append({pr.owner, node, seq, std::move(rows), pr.run,
-                        chunk.ingest_ns});
-          }
+          decisions[pr.match].targets.push_back(
+              {node, static_cast<std::uint32_t>(tgt), seq, pr.slot, rows});
         } else {
-          wire::ExecuteMsg exec;
-          exec.engine = node;
-          exec.ingest_ns = chunk.ingest_ns;
-          exec.seq = seq;
-          exec.batch = rows.empty() ? run : run.select(rows);
-          if (jw) jw->execute(exec);
-          auto frame = wire::encode_execute(exec);
-          driver_execute_bytes +=
-              frame.payload.size() + wire::kFrameHeaderBytes;
-          send_data(tgt, std::move(frame));
-          if (log_data) {
-            log_append({SIZE_MAX, node, seq, std::move(rows), pr.run,
-                        chunk.ingest_ns});
-          }
+          star[tgt].add(node, seq, pr.run, rows);
+        }
+        if (!journaled.empty()) journaled[tgt].add(node, seq, pr.run, rows);
+        if (log_data) {
+          log_append({peer_path ? pr.owner : SIZE_MAX, node, seq, pr.run,
+                      std::move(rows), chunk.ingest_ns, logged});
         }
       }
-      // Sent even with no targets: the owner frees the retained batch.
-      if (options.peer_links && pr.awaiting) {
-        send_data(pr.owner, wire::encode_route_decision(decision));
-      }
+    }
+    // Journal before anything ships: once an owner slices and sends
+    // worker-to-worker the driver never sees those bytes again.
+    for (auto& b : journaled) {
+      if (b.entries.empty()) continue;
+      b.ingest_ns = chunk.ingest_ns;
+      jw->execute(wire::encode_execute_bundle(b));
+    }
+    for (std::size_t w = 0; w < n; ++w) {
+      if (star[w].entries.empty()) continue;
+      star[w].ingest_ns = chunk.ingest_ns;
+      auto frame = wire::encode_execute_bundle(star[w]);
+      if (jw && !options.peer_links) jw->execute(frame);
+      send_bundle(w, std::move(frame));
+    }
+    // Sent even with no targets: the owner frees the retained runs.
+    for (std::size_t m = 0; m < decisions.size(); ++m) {
+      decisions[m].job = chunk.matches[m].request.job;
+      decisions[m].ingest_ns = chunk.ingest_ns;
+      send_data(chunk.matches[m].owner,
+                wire::encode_route_decision(decisions[m]));
     }
     report.driver.route_cpu_seconds += thread_cpu_seconds() - route_cpu0;
   }
@@ -1352,30 +1408,30 @@ struct Cosmos::Fed {
         }
       }
 
-      // Data-log replay, in route order, as plain driver executes (the one
-      // place peer-link mode still sends batches from the driver). An
-      // entry is replayed when its current target is the recovered worker
-      // (a lost or half-applied delivery) or its owner is (a lost
-      // kRouteDecision / unshipped slice). Survivor sites drop replayed
-      // seqs below their frontier.
+      // Data-log replay, in route order, as driver bundles (the one place
+      // peer-link mode still sends runs from the driver). An entry is
+      // replayed when its current target is the recovered worker (a lost
+      // or half-applied delivery) or its owner is (a lost kRouteDecision /
+      // unshipped slice). Survivor sites drop replayed seqs below their
+      // frontier.
       replay_entries([&](const DataLogEntry& entry) {
         return worker_of_engine.at(entry.engine) == i || entry.owner == i;
       });
 
       // Re-send match requests this owner still owes an answer for. In
-      // peer-link mode re-match even answered jobs: the retained batch
-      // died with the worker, and a pending chunk's kRouteDecision will
-      // need it (the duplicate response is emplace-deduped driver-side).
+      // peer-link mode re-match even answered jobs: the retained runs died
+      // with the worker, and a pending chunk's kRouteDecision will need
+      // them (the duplicate response is emplace-deduped driver-side).
       for (const auto& pc : pending) {
-        for (const auto& pr : pc.runs) {
-          if (!pr.awaiting || pr.owner != i) continue;
+        for (const auto& pm : pc.matches) {
+          if (pm.owner != i) continue;
           bool answered = false;
           {
             std::lock_guard lock{mu};
-            answered = match_responses.contains(pr.job);
+            answered = match_responses.contains(pm.request.job);
           }
           if (answered && !options.peer_links) continue;
-          send_data(i, wire::encode_match_request({pr.job, *pr.run}));
+          send_data(i, wire::encode_match_request(pm.request));
         }
       }
 

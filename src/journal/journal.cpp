@@ -12,6 +12,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "journal/crc32.h"
@@ -377,9 +378,16 @@ void Writer::registration(const wire::Frame& frame) {
   reg_frames_.push_back(std::move(bytes));
 }
 
+void Writer::execute(const wire::Frame& bundle) {
+  if (bundle.type != wire::FrameType::kExecuteBundle) {
+    throw std::logic_error{"journal: execute record must be an execute bundle"};
+  }
+  const auto bytes = wire::encode_frame(bundle);
+  append(RecordType::kExecuteBundle, bytes.data(), bytes.size());
+}
+
 void Writer::execute(const wire::ExecuteMsg& m) {
-  const auto bytes = wire::encode_frame(wire::encode_execute(m));
-  append(RecordType::kExecute, bytes.data(), bytes.size());
+  execute(wire::encode_execute_bundle(wire::bundle_of(m)));
 }
 
 void Writer::chunk_routed(const ChunkRouted& m) {
@@ -466,8 +474,8 @@ struct ParsedSegment {
   bool has_commit = false;
   CheckpointCommit commit;
 
-  std::vector<wire::ExecuteMsg> executes;      ///< whole-chunk prefix
-  std::vector<wire::ExecuteMsg> pending_exec;  ///< since the last marker
+  std::vector<wire::ExecuteBundleMsg> bundles;      ///< whole-chunk prefix
+  std::vector<wire::ExecuteBundleMsg> pending_exec;  ///< since the last marker
   std::map<std::string, std::uint64_t> delivered;
   std::uint64_t resume_events = 0;
   std::uint64_t resume_chunk = 0;
@@ -620,13 +628,13 @@ ParsedSegment parse_segment(const std::string& path, std::uint64_t file_seq) {
           seg.has_watermark = commit.has_watermark;
           break;
         }
-        case RecordType::kExecute: {
+        case RecordType::kExecuteBundle: {
           if (!seg.has_commit) {
-            fail("execute record before the commit");
+            fail("execute-bundle record before the commit");
             break;
           }
           auto frame = decode_frame_bytes(payload, payload_len);
-          seg.pending_exec.push_back(wire::decode_execute(frame));
+          seg.pending_exec.push_back(wire::decode_execute_bundle(frame));
           break;
         }
         case RecordType::kChunkRouted: {
@@ -636,9 +644,9 @@ ParsedSegment parse_segment(const std::string& path, std::uint64_t file_seq) {
           }
           wire::Reader r(payload, payload_len);
           const auto m = decode_chunk_routed(r);
-          // The marker proves every execute of this chunk was journaled:
-          // promote the held-back executes into the replayable prefix.
-          for (auto& e : seg.pending_exec) seg.executes.push_back(std::move(e));
+          // The marker proves every bundle of this chunk was journaled:
+          // promote the held-back bundles into the replayable prefix.
+          for (auto& b : seg.pending_exec) seg.bundles.push_back(std::move(b));
           seg.pending_exec.clear();
           seg.resume_events = m.events_through;
           seg.resume_chunk = m.chunk_index + 1;
@@ -715,7 +723,7 @@ RecoveredRun recover(const std::string& dir) {
     run.registrations = std::move(seg.registrations);
     run.engines = std::move(seg.engines);
     run.checkpoint = seg.commit;
-    run.executes = std::move(seg.executes);
+    run.bundles = std::move(seg.bundles);
     run.delivered.reserve(seg.delivered.size());
     for (auto& [stream, count] : seg.delivered) {
       run.delivered.push_back(DeliveredCount{stream, count});

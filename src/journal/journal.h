@@ -16,13 +16,13 @@
 //   [u32 body length | u32 CRC-32 of body | body = u8 record type + payload]
 //
 // All integers little-endian, matching the wire codec; registration and
-// execute records are stored as the exact wire frames the driver sent, so
-// journal replay and live replay share one codec.
+// execute-bundle records are stored as the exact wire frames the driver
+// sent, so journal replay and live replay share one codec.
 //
 // Each segment is *self-contained*: it opens with the run Meta record, the
 // cached registration frames, the checkpoint's engine-state records and a
-// commit record — then the epoch's post-commit tail (executes, chunk-routed
-// markers, delivered floors) appends until the next checkpoint rolls a new
+// commit record — then the epoch's post-commit tail (execute bundles,
+// chunk-routed markers, delivered floors) appends until the next checkpoint rolls a new
 // segment. Recovery scans segments newest-first and resumes from the newest
 // one holding a valid commit; anything later is recomputed deterministically.
 // A torn tail (partial final write) is truncated at the last whole record; a
@@ -74,7 +74,9 @@ class Error : public std::runtime_error {
 // Format constants.
 
 inline constexpr std::uint32_t kSegmentMagic = 0x4C4E4A43u;  // "CJNL"
-inline constexpr std::uint16_t kFormatVersion = 1;
+/// v2: the execute record holds one wire v4 execute bundle per (chunk,
+/// worker) instead of one per-engine execute.
+inline constexpr std::uint16_t kFormatVersion = 2;
 inline constexpr std::size_t kSegmentHeaderBytes = 16;
 /// Upper bound on one record body; recovery rejects larger length claims so
 /// a corrupt prefix cannot trigger a giant allocation (mirrors the wire
@@ -86,7 +88,7 @@ enum class RecordType : std::uint8_t {
   kRegistration = 2,     ///< one registration wire frame, verbatim
   kEngineState = 3,      ///< one engine's checkpointed state + exec seq
   kCheckpointCommit = 4, ///< checkpoint cut is durable from here on
-  kExecute = 5,          ///< one routed kExecute wire frame, verbatim
+  kExecuteBundle = 5,    ///< one (chunk, worker) kExecuteBundle frame, verbatim
   kChunkRouted = 6,      ///< chunk fully routed: replay barrier + resume cut
   kDelivered = 7,        ///< per-stream delivered counts, written pre-callback
 };
@@ -117,9 +119,9 @@ struct Meta {
   std::vector<std::string> endpoints;  ///< endpoints[i] = worker i
 };
 
-/// End-of-chunk marker written after a chunk's executes are all journaled.
-/// Recovery replays only executes *before* the last marker: a partial
-/// chunk's executes are discarded and regenerated by re-ingesting events
+/// End-of-chunk marker written after a chunk's bundles are all journaled.
+/// Recovery replays only bundles *before* the last marker: a partial
+/// chunk's bundles are discarded and regenerated by re-ingesting events
 /// from `events_through` — chunk cutting and routing are deterministic, so
 /// the regenerated tail carries identical sequence numbers.
 struct ChunkRouted {
@@ -197,7 +199,12 @@ class Writer {
   /// every future segment preamble.
   void registration(const wire::Frame& frame);
 
-  /// Journals one routed execute verbatim (call before moving the batch).
+  /// Journals one encoded execute bundle verbatim — the driver writes the
+  /// very frame it sends, one per (chunk, worker), before the chunk's
+  /// chunk-routed marker.
+  void execute(const wire::Frame& bundle);
+  /// Journals a standalone execute as a single-entry bundle (the same
+  /// record format).
   void execute(const wire::ExecuteMsg& m);
 
   void chunk_routed(const ChunkRouted& m);
@@ -260,7 +267,7 @@ class Writer {
 // Recovery.
 
 /// Everything resume_federated needs, reconstructed from the newest segment
-/// holding a valid commit. `executes` contains only whole-chunk prefixes
+/// holding a valid commit. `bundles` contains only whole-chunk prefixes
 /// (see ChunkRouted); the resume_* fields are the commit's cut advanced
 /// through every chunk-routed marker in the tail.
 struct RecoveredRun {
@@ -268,7 +275,7 @@ struct RecoveredRun {
   std::vector<wire::Frame> registrations;  ///< in original broadcast order
   std::vector<EngineState> engines;
   CheckpointCommit checkpoint;
-  std::vector<wire::ExecuteMsg> executes;  ///< post-commit, route order
+  std::vector<wire::ExecuteBundleMsg> bundles;  ///< post-commit, route order
   std::vector<DeliveredCount> delivered;   ///< summed post-commit floors
 
   std::uint64_t resume_events = 0;  ///< re-ingest the trace from here
@@ -277,7 +284,7 @@ struct RecoveredRun {
   bool has_watermark = false;
 
   bool torn_tail = false;               ///< partial final record truncated
-  std::uint64_t records_dropped = 0;    ///< partial-chunk executes + tail
+  std::uint64_t records_dropped = 0;    ///< partial-chunk bundles + tail
   std::uint64_t segments_rolled_back = 0;  ///< newer segments skipped
   std::uint64_t next_segment = 1;       ///< pass to Writer::continue_at
 };

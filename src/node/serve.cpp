@@ -217,7 +217,7 @@ void NodeServer::drive_session(wire::Socket sock, wire::Frame hello_frame) {
     }
   }
   // The channel and Site stay alive for shutdown(): peer reader threads
-  // may still be inside apply_peer_execute / the emit sink until they are
+  // may still be inside apply_peer_bundle / the emit sink until they are
   // joined there.
   std::lock_guard lock{mu_};
   driver_done_ = true;
@@ -243,13 +243,13 @@ void NodeServer::peer_in_loop(wire::Socket& sock) {
         if (hb.probe != 0) wire::send_frame(sock, wire::encode_heartbeat({0}));
         continue;
       }
-      if (frame->type != wire::FrameType::kExecute) {
-        continue;  // peer links carry executes and heartbeats only
+      if (frame->type != wire::FrameType::kExecuteBundle) {
+        continue;  // peer links carry execute bundles and heartbeats only
       }
-      auto m = wire::decode_execute(*frame);
+      const auto m = wire::decode_execute_bundle(*frame);
       Site* site = wait_site();
       if (site == nullptr) return;
-      site->apply_peer_execute(std::move(m));
+      site->apply_peer_bundle(m);
     }
   } catch (const std::exception&) {
     // A dying peer (or our own shutdown's socket shutdown) lands here; the

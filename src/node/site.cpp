@@ -1,6 +1,7 @@
 #include "node/site.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -10,6 +11,41 @@ namespace cosmos::node {
 
 using wire::Frame;
 using wire::FrameType;
+
+/// Gathers one engine's in-order slices into runtime tasks: consecutive
+/// slices that share an ingest stamp ride one task (a bundle's slices
+/// always do), so a bundle costs one queue slot per engine however many of
+/// its runs the engine sees. The caller flush()es the last task.
+class Site::TaskCollector {
+ public:
+  TaskCollector(runtime::Runtime& rt, std::size_t shard,
+                stream::Engine* engine, std::uint64_t engine_id)
+      : rt_(rt), shard_(shard) {
+    task_.engine = engine;
+    task_.engine_id = engine_id;
+  }
+  TaskCollector(const TaskCollector&) = delete;
+  TaskCollector& operator=(const TaskCollector&) = delete;
+
+  void add(Slice s) {
+    if (!task_.slices.empty() && task_.ingest_ns != s.ingest_ns) flush();
+    task_.ingest_ns = s.ingest_ns;
+    task_.slices.push_back(std::move(s.slice));
+  }
+
+  void flush() {
+    if (task_.slices.empty()) return;
+    runtime::Runtime::Task next;
+    next.engine = task_.engine;
+    next.engine_id = task_.engine_id;
+    rt_.dispatch(shard_, std::exchange(task_, std::move(next)));
+  }
+
+ private:
+  runtime::Runtime& rt_;
+  std::size_t shard_;
+  runtime::Runtime::Task task_;
+};
 
 Site::Site(Options options)
     : options_(options),
@@ -123,20 +159,13 @@ bool Site::handle_locked(const Frame& frame, std::vector<Frame>& out,
     case FrameType::kRouteDecision:
       on_route_decision(wire::decode_route_decision(frame), out, ships);
       break;
-    case FrameType::kExecute: {
-      auto m = wire::decode_execute(frame);
-      // The driver channel is strict: it only sends executes to the worker
-      // it believes hosts the engine, so a miss is a placement bug (peer
-      // links tolerate the transient miss instead — see
-      // apply_peer_execute).
-      if (!engines_.contains(m.engine)) {
-        throw wire::Error{"node: execute for engine " +
-                          std::to_string(m.engine.value()) +
-                          " not hosted here"};
-      }
-      apply_execute(std::move(m), out);
+    case FrameType::kExecuteBundle:
+      // The driver channel is strict: it only sends a bundle to the worker
+      // it believes hosts every engine named in it, so a miss is a
+      // placement bug (peer links tolerate the transient miss instead —
+      // see apply_peer_bundle).
+      apply_bundle(wire::decode_execute_bundle(frame), out, nullptr);
       break;
-    }
     case FrameType::kWatermark: {
       auto m = wire::decode_watermark(frame);
       if (gate_.empty() && floors_met(m.floors)) {
@@ -204,53 +233,70 @@ bool Site::handle_locked(const Frame& frame, std::vector<Frame>& out,
   return keep_going;
 }
 
-void Site::apply_peer_execute(wire::ExecuteMsg m) {
+void Site::apply_peer_bundle(const wire::ExecuteBundleMsg& m) {
   std::lock_guard lock{mu_};
-  if (!engines_.contains(m.engine)) {
-    // A survivor's shipment can reach a respawned worker before the
-    // driver's kMigrateIn re-creates the engine; hold it, on_migrate_in
-    // re-applies.
-    held_peer_execs_.push_back(std::move(m));
-    return;
-  }
   std::vector<Frame> out;
-  apply_execute(std::move(m), out);
+  // A survivor's shipment can reach a respawned worker before the driver's
+  // kMigrateIn re-creates an engine; hold those slices, on_migrate_in
+  // re-applies them.
+  apply_bundle(m, out, &held_peer_);
   ship_results(out);
   for (auto& f : out) {
     if (emit_) emit_(std::move(f));
   }
 }
 
-void Site::apply_execute(wire::ExecuteMsg m, std::vector<Frame>& out) {
-  auto& st = exec_seq_[m.engine.value()];
-  if (m.seq < st.expected) return;  // recovery replay duplicate
-  if (m.seq > st.expected) {
-    st.holdback.emplace(m.seq, std::move(m));  // early arrival; keep first
-    return;
+void Site::apply_bundle(const wire::ExecuteBundleMsg& m,
+                        std::vector<Frame>& out,
+                        std::vector<HeldSlice>* unhosted) {
+  // Group the entries by engine, keeping bundle order within each engine
+  // (route order, hence that engine's seq order). Decode already checked
+  // every run index and row against the bundle's runs.
+  std::map<NodeId, std::vector<const wire::ExecuteBundleMsg::Entry*>>
+      by_engine;
+  for (const auto& e : m.entries) {
+    if (!engines_.contains(e.engine) && unhosted == nullptr) {
+      throw wire::Error{"node: execute for engine " +
+                        std::to_string(e.engine.value()) +
+                        " not hosted here"};
+    }
+    by_engine[e.engine].push_back(&e);
   }
-  dispatch_execute(std::move(m));
-  ++st.expected;
-  for (auto next = st.holdback.find(st.expected);
-       next != st.holdback.end(); next = st.holdback.find(st.expected)) {
-    dispatch_execute(std::move(next->second));
-    st.holdback.erase(next);
-    ++st.expected;
+  for (const auto& [engine, entries] : by_engine) {
+    const auto eit = engines_.find(engine);
+    if (eit == engines_.end()) {
+      for (const auto* e : entries) {
+        unhosted->push_back(
+            {engine, e->seq, {{m.runs[e->run], e->rows}, m.ingest_ns}});
+      }
+      continue;
+    }
+    TaskCollector task{rt_, shard_of_.at(engine.value()), eit->second.get(),
+                       engine.value()};
+    for (const auto* e : entries) {
+      admit(engine, e->seq, {{m.runs[e->run], e->rows}, m.ingest_ns}, task);
+    }
+    task.flush();
   }
   pump_gate(out);
 }
 
-void Site::dispatch_execute(wire::ExecuteMsg m) {
-  const auto it = engines_.find(m.engine);
-  if (it == engines_.end()) {
-    throw wire::Error{"node: execute for engine " +
-                      std::to_string(m.engine.value()) + " not hosted here"};
+void Site::admit(NodeId engine, std::uint64_t seq, Slice slice,
+                 TaskCollector& task) {
+  auto& st = exec_seq_[engine.value()];
+  if (seq < st.expected) return;  // recovery replay duplicate
+  if (seq > st.expected) {
+    st.holdback.emplace(seq, std::move(slice));  // early arrival; keep first
+    return;
   }
-  runtime::Runtime::Task task;
-  task.engine = it->second.get();
-  task.engine_id = m.engine.value();
-  task.runs.push_back(std::move(m.batch));
-  task.ingest_ns = m.ingest_ns;
-  rt_.dispatch(shard_of_.at(task.engine_id), std::move(task));
+  task.add(std::move(slice));
+  ++st.expected;
+  for (auto next = st.holdback.find(st.expected);
+       next != st.holdback.end(); next = st.holdback.find(st.expected)) {
+    task.add(std::move(next->second));
+    st.holdback.erase(next);
+    ++st.expected;
+  }
 }
 
 bool Site::floors_met(const std::vector<wire::EngineFloor>& floors) const {
@@ -323,16 +369,20 @@ void Site::apply_watermark(const wire::WatermarkMsg& m,
   }
   // Watermarks prune join state, which only a task on the owning shard may
   // touch (the serve thread must not race an executing engine). Dispatch
-  // one pruning task per unit; shard FIFO orders it after every execute
-  // applied before this watermark, and the floors guarantee every execute
-  // routed before it has been applied.
+  // one pruning task per hosted engine covering all of its units; shard
+  // FIFO orders it after every slice applied before this watermark, and the
+  // floors guarantee every slice routed before it has been applied.
+  std::map<std::uint64_t, std::vector<query::CompiledQuery*>> plans_of;
   for (auto& [uid, unit] : units_) {
+    plans_of[unit.host.value()].push_back(unit.plan.get());
+  }
+  for (auto& [engine_id, plans] : plans_of) {
     runtime::Runtime::Task task;
-    task.engine_id = unit.host.value();
-    task.match = [plan = unit.plan.get(), wm = m.watermark] {
-      plan->advance_watermark(wm);
+    task.engine_id = engine_id;
+    task.match = [plans = std::move(plans), wm = m.watermark] {
+      for (auto* plan : plans) plan->advance_watermark(wm);
     };
-    rt_.dispatch(shard_of_.at(task.engine_id), std::move(task));
+    rt_.dispatch(shard_of_.at(engine_id), std::move(task));
   }
 }
 
@@ -383,30 +433,35 @@ void Site::on_deploy(wire::DeployUnitMsg m) {
   units_.emplace(unit.id, std::move(unit));
 }
 
-void Site::on_match(wire::MatchRequestMsg m, std::vector<Frame>& out) {
-  auto* part = broker().partition(m.batch.stream());
-  if (part == nullptr) {
-    throw wire::Error{"node: match request for unadvertised stream " +
-                      m.batch.stream()};
-  }
+void Site::on_match(const wire::MatchRequestMsg& m, std::vector<Frame>& out) {
   // Inline on the serve thread: this Site's partitions are matched nowhere
   // else, so the single-owner discipline holds without locking, and the
   // partition's traffic accounting is exactly the in-process p1 share of
   // the streams this worker owns.
-  std::vector<pubsub::BatchDelivery> deliveries;
-  part->match_batch(m.batch, deliveries);
   wire::MatchResponseMsg resp;
   resp.job = m.job;
-  resp.deliveries.reserve(deliveries.size());
-  for (auto& d : deliveries) {
-    resp.deliveries.emplace_back(d.sub->id, std::move(d.rows));
+  resp.runs.resize(m.runs.size());
+  std::vector<pubsub::BatchDelivery> deliveries;
+  for (std::size_t i = 0; i < m.runs.size(); ++i) {
+    const auto& run = *m.runs[i];
+    auto* part = broker().partition(run.stream());
+    if (part == nullptr) {
+      throw wire::Error{"node: match request for unadvertised stream " +
+                        run.stream()};
+    }
+    deliveries.clear();
+    part->match_batch(run, deliveries);
+    resp.runs[i].reserve(deliveries.size());
+    for (auto& d : deliveries) {
+      resp.runs[i].emplace_back(d.sub->id, std::move(d.rows));
+    }
   }
   out.push_back(wire::encode_match_response(resp));
   if (hello_.peer_links != 0) {
-    // Retain the batch: the driver's kRouteDecision slices it into
-    // per-engine executes here instead of echoing the rows back over the
-    // star. insert_or_assign absorbs a recovery re-request of the same job.
-    retained_.insert_or_assign(m.job, std::move(m.batch));
+    // Retain the runs: the driver's kRouteDecision slices them into
+    // bundles here instead of echoing the rows back over the star.
+    // insert_or_assign absorbs a recovery re-request of the same job.
+    retained_.insert_or_assign(m.job, m.runs);
   }
 }
 
@@ -417,20 +472,33 @@ void Site::on_route_decision(wire::RouteDecisionMsg m, std::vector<Frame>& out,
     throw wire::Error{"node: route decision for unknown job " +
                       std::to_string(m.job)};
   }
+  const auto& runs = it->second;
+  // One bundle per destination worker, each run in it once.
+  std::map<std::uint32_t, wire::ExecuteBundleMsg> by_worker;
   for (auto& t : m.targets) {
-    wire::ExecuteMsg ex;
-    ex.engine = t.engine;
-    ex.ingest_ns = m.ingest_ns;
-    ex.seq = t.seq;
-    ex.batch = t.rows.empty() ? it->second : it->second.select(t.rows);
-    if (t.worker == hello_.worker_index) {
-      // Own-engine slice: same seq-ordered path a shipped one would take.
-      apply_execute(std::move(ex), out);
-    } else {
-      ships.push_back({t.worker, wire::encode_execute(ex)});
+    // The decoder checked the rows ascend; their bound and the run index
+    // are only checkable against the retained runs.
+    if (t.run >= runs.size()) {
+      throw wire::Error{"node: route target names run " +
+                        std::to_string(t.run) + " of " +
+                        std::to_string(runs.size())};
     }
+    if (!t.rows.empty() && t.rows.back() >= runs[t.run]->size()) {
+      throw wire::Error{"node: route target row reaches the run size"};
+    }
+    auto& bundle = by_worker[t.worker];
+    bundle.ingest_ns = m.ingest_ns;
+    bundle.add(t.engine, t.seq, runs[t.run], std::move(t.rows));
   }
   retained_.erase(it);
+  for (auto& [worker, bundle] : by_worker) {
+    if (worker == hello_.worker_index) {
+      // Own-engine slices: same seq-ordered path a shipped bundle takes.
+      apply_bundle(bundle, out, nullptr);
+    } else {
+      ships.push_back({worker, wire::encode_execute_bundle(bundle)});
+    }
+  }
 }
 
 void Site::emit_stats_sample(std::vector<Frame>& out) {
@@ -524,13 +592,18 @@ void Site::on_migrate_in(wire::MigrateInMsg m, std::vector<Frame>& out) {
   // Resume execute ordering at the handoff's cut point, then re-apply any
   // peer shipments that arrived for this engine before it existed here.
   exec_seq_[m.engine.value()].expected = m.exec_seq;
-  std::vector<wire::ExecuteMsg> held;
-  std::vector<wire::ExecuteMsg> rest;
-  for (auto& ex : held_peer_execs_) {
-    (ex.engine == m.engine ? held : rest).push_back(std::move(ex));
+  std::vector<HeldSlice> held;
+  std::vector<HeldSlice> rest;
+  for (auto& h : held_peer_) {
+    (h.engine == m.engine ? held : rest).push_back(std::move(h));
   }
-  held_peer_execs_ = std::move(rest);
-  for (auto& ex : held) apply_execute(std::move(ex), out);
+  held_peer_ = std::move(rest);
+  if (!held.empty()) {
+    TaskCollector task{rt_, shard_of_.at(m.engine.value()),
+                       engines_.at(m.engine).get(), m.engine.value()};
+    for (auto& h : held) admit(h.engine, h.seq, std::move(h.slice), task);
+    task.flush();
+  }
   pump_gate(out);
   out.push_back(wire::encode_migrate_ack({m.engine}));
 }

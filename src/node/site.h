@@ -7,17 +7,24 @@
 // handing it frames directly.
 //
 // Threading: handle() is single-caller (the serve thread), but peer links
-// deliver kExecute frames on their own reader threads via
-// apply_peer_execute(), so all site state lives under one internal mutex.
+// deliver kExecuteBundle frames on their own reader threads via
+// apply_peer_bundle(), so all site state lives under one internal mutex.
 // Broker partitions are only ever touched from handle() — match requests
 // run inline there, preserving the single-owner partition discipline —
-// while engine work (execute batches, watermarks) is dispatched into the
+// while engine work (execute slices, watermarks) is dispatched into the
 // runtime's shard queues, each engine pinned to one shard.
 //
-// Ordering: the driver assigns every execute an absolute per-engine seq
-// (route order). The site applies an engine's executes strictly in seq
+// Bundles: a kExecuteBundle carries each of a chunk's runs once plus one
+// (engine, seq, run, rows) entry per engine slice. The site decodes every
+// run once into a shared TupleBatch and dispatches one runtime task per
+// (bundle, engine) holding RunSlices over the shared runs — the shape
+// Cosmos::dispatch_chunk uses in-process — so fanning a tuple out to many
+// local engines copies nothing on the serve thread.
+//
+// Ordering: the driver assigns every engine slice an absolute per-engine
+// seq (route order). The site applies an engine's slices strictly in seq
 // order — holding back early arrivals, dropping replayed duplicates — so
-// engine input order (and hence result byte-identity) survives executes
+// engine input order (and hence result byte-identity) survives bundles
 // arriving over multiple channels (driver, peer links, recovery replay).
 // Watermarks and flushes carry per-engine floors and wait in a FIFO gate
 // until every floored execute has been applied: pruning join state early
@@ -74,11 +81,11 @@ class Site {
   /// kError and ends the session either way.
   bool handle(const wire::Frame& frame, std::vector<wire::Frame>& out);
 
-  /// Entry point for a kExecute frame that arrived on a peer link (called
-  /// from that link's reader thread). Unknown engines are held — a
-  /// survivor's shipment can beat the driver's kMigrateIn to a respawned
-  /// worker — and re-applied when the engine arrives.
-  void apply_peer_execute(wire::ExecuteMsg m);
+  /// Entry point for a kExecuteBundle frame that arrived on a peer link
+  /// (called from that link's reader thread). Slices for unknown engines
+  /// are held — a survivor's shipment can beat the driver's kMigrateIn to
+  /// a respawned worker — and re-applied when the engine arrives.
+  void apply_peer_bundle(const wire::ExecuteBundleMsg& m);
 
   /// Sink for frames produced outside a handle() call (gated flush acks,
   /// results completed by peer executes). Must be thread-safe; installed
@@ -122,11 +129,24 @@ class Site {
     std::unique_ptr<query::CompiledQuery> plan;
     std::size_t result_tap = 0;
   };
+  /// One engine slice awaiting execution: a view of a shared run plus the
+  /// ingest stamp of the bundle it arrived in.
+  struct Slice {
+    runtime::RunSlice slice;
+    std::uint64_t ingest_ns = 0;
+  };
   /// Per-engine execute ordering state.
   struct EngineSeq {
-    std::uint64_t expected = 0;  ///< next seq to apply
-    std::map<std::uint64_t, wire::ExecuteMsg> holdback;  ///< early arrivals
+    std::uint64_t expected = 0;                ///< next seq to apply
+    std::map<std::uint64_t, Slice> holdback;   ///< early arrivals
   };
+  /// A peer-shipped slice for an engine not (yet) hosted here.
+  struct HeldSlice {
+    NodeId engine;
+    std::uint64_t seq = 0;
+    Slice slice;
+  };
+  class TaskCollector;
   /// A watermark/flush waiting in the FIFO gate for its floors.
   struct Gated {
     enum class Kind { kWatermark, kFlush } kind = Kind::kWatermark;
@@ -148,7 +168,7 @@ class Site {
                      std::vector<PeerShip>& ships);
   void on_topology(const wire::TopologyMsg& m);
   void on_deploy(wire::DeployUnitMsg m);
-  void on_match(wire::MatchRequestMsg m, std::vector<wire::Frame>& out);
+  void on_match(const wire::MatchRequestMsg& m, std::vector<wire::Frame>& out);
   void on_route_decision(wire::RouteDecisionMsg m,
                          std::vector<wire::Frame>& out,
                          std::vector<PeerShip>& ships);
@@ -156,11 +176,17 @@ class Site {
                       std::vector<wire::Frame>& out);
   void on_migrate_in(wire::MigrateInMsg m, std::vector<wire::Frame>& out);
 
-  /// Seq-ordered apply: dispatches at `expected`, drains the holdback, then
-  /// pumps the gate. Drops seqs below `expected` (recovery replay).
-  void apply_execute(wire::ExecuteMsg m, std::vector<wire::Frame>& out);
-  /// Dispatches one batch into the engine's shard queue (no seq logic).
-  void dispatch_execute(wire::ExecuteMsg m);
+  /// Applies every entry of a bundle whose engine is hosted here: one
+  /// runtime task per engine, then pumps the gate. Entries for engines not
+  /// hosted here land in `unhosted` (null: every engine must be hosted).
+  void apply_bundle(const wire::ExecuteBundleMsg& m,
+                    std::vector<wire::Frame>& out,
+                    std::vector<HeldSlice>* unhosted);
+  /// Seq-ordered admission of one slice into `task`: applies it at
+  /// `expected` and drains the holdback behind it, holds back an early
+  /// arrival, drops a replayed duplicate.
+  void admit(NodeId engine, std::uint64_t seq, Slice slice,
+             TaskCollector& task);
   /// True when every floor naming an engine hosted here is satisfied.
   [[nodiscard]] bool floors_met(
       const std::vector<wire::EngineFloor>& floors) const;
@@ -209,12 +235,12 @@ class Site {
   /// or migrate-in (expected = the handoff's cut point), erased with the
   /// engine on migrate-out.
   std::unordered_map<std::uint64_t, EngineSeq> exec_seq_;
-  /// Peer executes for engines not (yet) hosted here; re-applied on
+  /// Peer slices for engines not (yet) hosted here; re-applied on
   /// migrate-in.
-  std::vector<wire::ExecuteMsg> held_peer_execs_;
-  /// Peer-link mode: match-request batches retained by job until the
-  /// driver's kRouteDecision slices and frees them.
-  std::map<std::uint64_t, runtime::TupleBatch> retained_;
+  std::vector<HeldSlice> held_peer_;
+  /// Peer-link mode: match-request runs retained by job until the driver's
+  /// kRouteDecision slices and frees them.
+  std::map<std::uint64_t, std::vector<wire::SharedRun>> retained_;
   std::deque<Gated> gate_;
   /// Last kSeqGap emission (epoch = never): the starvation report repeats
   /// at most once per liveness deadline, so a slow driver replay is not

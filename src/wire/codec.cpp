@@ -32,7 +32,7 @@ const char* to_string(FrameType type) noexcept {
     case FrameType::kDeployUnit: return "DeployUnit";
     case FrameType::kMatchRequest: return "MatchRequest";
     case FrameType::kMatchResponse: return "MatchResponse";
-    case FrameType::kExecute: return "Execute";
+    case FrameType::kExecuteBundle: return "ExecuteBundle";
     case FrameType::kResult: return "Result";
     case FrameType::kWatermark: return "Watermark";
     case FrameType::kFlush: return "Flush";

@@ -50,7 +50,12 @@ inline constexpr std::uint32_t kMagic = 0x434F534Du;  // "COSM"
 /// carries the knobs), kPeerHelloAck completing the peer-link handshake,
 /// kPeerDown reporting a wedged peer link to the driver, and kSeqGap
 /// requesting replay of executes lost on a live-but-lossy link.
-inline constexpr std::uint16_t kProtocolVersion = 3;
+/// v4: the chunk is the unit of data traffic — one kMatchRequest /
+/// kMatchResponse per (chunk, owner worker) carrying all of that owner's
+/// runs, one kExecuteBundle per (chunk, target worker) carrying each run
+/// once plus per-engine (seq, run, rows) slices (it replaces the
+/// per-engine kExecute), and one kRouteDecision per (chunk, owner).
+inline constexpr std::uint16_t kProtocolVersion = 4;
 /// Upper bound on one frame's payload; decode rejects larger claims so a
 /// corrupt length prefix cannot trigger a giant allocation.
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
@@ -62,9 +67,9 @@ enum class FrameType : std::uint16_t {
   kRegisterStream = 4, ///< advertise: stream, publisher, schema
   kSubscribe = 5,      ///< full Subscription (p1 registration)
   kDeployUnit = 6,     ///< unit id, host, result stream, QuerySpec
-  kMatchRequest = 7,   ///< job seq + TupleBatch to match
-  kMatchResponse = 8,  ///< job seq + per-subscription matched row sets
-  kExecute = 9,        ///< engine node + pre-routed TupleBatch
+  kMatchRequest = 7,   ///< job seq + one owner's runs of a chunk
+  kMatchResponse = 8,  ///< job seq + per-run, per-subscription row sets
+  kExecuteBundle = 9,  ///< a chunk's runs + per-engine (seq, run, rows)
   kResult = 10,        ///< batch of (result stream, tuple) events
   kWatermark = 11,     ///< stream-time watermark: prune idle join state
   kFlush = 12,         ///< seq: drain runtime, ship results, then ack

@@ -1,5 +1,7 @@
 #include "wire/messages.h"
 
+#include <limits>
+
 namespace cosmos::wire {
 namespace {
 
@@ -60,6 +62,52 @@ void encode_floors(Writer& w, const std::vector<EngineFloor>& floors) {
     floors.push_back(f);
   }
   return floors;
+}
+
+void encode_rows(Writer& w, const std::vector<std::uint32_t>& rows) {
+  w.u32(static_cast<std::uint32_t>(rows.size()));
+  for (const std::uint32_t row : rows) w.u32(row);
+}
+
+/// A row selection: strictly ascending, and below `limit` (the selected
+/// run's size, where the decoder knows it).
+[[nodiscard]] std::vector<std::uint32_t> decode_rows(
+    Reader& r, const char* what,
+    std::uint64_t limit = std::numeric_limits<std::uint64_t>::max()) {
+  const std::uint32_t count = r.u32();
+  check_count(count, r.remaining(), what);
+  std::vector<std::uint32_t> rows;
+  rows.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t row = r.u32();
+    if (!rows.empty() && row <= rows.back()) {
+      throw Error{std::string{"wire: "} + what +
+                  " indices not strictly ascending"};
+    }
+    if (row >= limit) {
+      throw Error{std::string{"wire: "} + what + " index " +
+                  std::to_string(row) + " reaches the run size " +
+                  std::to_string(limit)};
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+void encode_runs(Writer& w, const std::vector<SharedRun>& runs) {
+  w.u32(static_cast<std::uint32_t>(runs.size()));
+  for (const auto& run : runs) encode_batch(w, *run);
+}
+
+[[nodiscard]] std::vector<SharedRun> decode_runs(Reader& r, const char* what) {
+  const std::uint32_t count = r.u32();
+  check_count(count, r.remaining(), what);
+  std::vector<SharedRun> runs;
+  runs.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    runs.push_back(std::make_shared<const runtime::TupleBatch>(decode_batch(r)));
+  }
+  return runs;
 }
 
 void encode_deploy_payload(Writer& w, const DeployUnitMsg& m) {
@@ -211,7 +259,7 @@ DeployUnitMsg decode_deploy_unit(const Frame& f) {
 Frame encode_match_request(const MatchRequestMsg& m) {
   Writer w;
   w.u64(m.job);
-  encode_batch(w, m.batch);
+  encode_runs(w, m.runs);
   return finish(FrameType::kMatchRequest, std::move(w));
 }
 
@@ -219,7 +267,8 @@ MatchRequestMsg decode_match_request(const Frame& f) {
   auto r = open(f, FrameType::kMatchRequest);
   MatchRequestMsg m;
   m.job = r.u64();
-  m.batch = decode_batch(r);
+  m.runs = decode_runs(r, "match request run");
+  if (m.runs.empty()) throw Error{"wire: match request carries no runs"};
   r.done();
   return m;
 }
@@ -227,11 +276,13 @@ MatchRequestMsg decode_match_request(const Frame& f) {
 Frame encode_match_response(const MatchResponseMsg& m) {
   Writer w;
   w.u64(m.job);
-  w.u32(static_cast<std::uint32_t>(m.deliveries.size()));
-  for (const auto& [sub, rows] : m.deliveries) {
-    w.u32(sub.value());
-    w.u32(static_cast<std::uint32_t>(rows.size()));
-    for (std::uint32_t row : rows) w.u32(row);
+  w.u32(static_cast<std::uint32_t>(m.runs.size()));
+  for (const auto& run : m.runs) {
+    w.u32(static_cast<std::uint32_t>(run.size()));
+    for (const auto& [sub, rows] : run) {
+      w.u32(sub.value());
+      encode_rows(w, rows);
+    }
   }
   return finish(FrameType::kMatchResponse, std::move(w));
 }
@@ -240,38 +291,74 @@ MatchResponseMsg decode_match_response(const Frame& f) {
   auto r = open(f, FrameType::kMatchResponse);
   MatchResponseMsg m;
   m.job = r.u64();
-  const std::uint32_t deliveries = r.u32();
-  check_count(deliveries, r.remaining(), "match delivery");
-  m.deliveries.reserve(deliveries);
-  for (std::uint32_t i = 0; i < deliveries; ++i) {
-    const SubscriptionId sub{r.u32()};
-    const std::uint32_t rows = r.u32();
-    check_count(rows, r.remaining(), "matched row");
-    std::vector<std::uint32_t> indices;
-    indices.reserve(rows);
-    for (std::uint32_t j = 0; j < rows; ++j) indices.push_back(r.u32());
-    m.deliveries.emplace_back(sub, std::move(indices));
+  const std::uint32_t runs = r.u32();
+  check_count(runs, r.remaining(), "match response run");
+  m.runs.resize(runs);
+  for (auto& run : m.runs) {
+    const std::uint32_t deliveries = r.u32();
+    check_count(deliveries, r.remaining(), "match delivery");
+    run.reserve(deliveries);
+    for (std::uint32_t i = 0; i < deliveries; ++i) {
+      const SubscriptionId sub{r.u32()};
+      run.emplace_back(sub, decode_rows(r, "matched row"));
+    }
   }
   r.done();
   return m;
 }
 
-Frame encode_execute(const ExecuteMsg& m) {
-  Writer w;
-  encode_node_id(w, m.engine);
-  encode_batch(w, m.batch);
-  w.u64(m.ingest_ns);
-  w.u64(m.seq);
-  return finish(FrameType::kExecute, std::move(w));
+void ExecuteBundleMsg::add(NodeId engine, std::uint64_t seq,
+                           const SharedRun& run,
+                           std::vector<std::uint32_t> rows) {
+  if (runs.empty() || runs.back() != run) runs.push_back(run);
+  entries.push_back({engine, seq, static_cast<std::uint32_t>(runs.size() - 1),
+                     std::move(rows)});
 }
 
-ExecuteMsg decode_execute(const Frame& f) {
-  auto r = open(f, FrameType::kExecute);
-  ExecuteMsg m;
-  m.engine = decode_node_id(r);
-  m.batch = decode_batch(r);
+ExecuteBundleMsg bundle_of(ExecuteMsg m) {
+  ExecuteBundleMsg b;
+  b.ingest_ns = m.ingest_ns;
+  b.add(m.engine, m.seq,
+        std::make_shared<const runtime::TupleBatch>(std::move(m.batch)), {});
+  return b;
+}
+
+Frame encode_execute_bundle(const ExecuteBundleMsg& m) {
+  Writer w;
+  w.u64(m.ingest_ns);
+  encode_runs(w, m.runs);
+  w.u32(static_cast<std::uint32_t>(m.entries.size()));
+  for (const auto& e : m.entries) {
+    encode_node_id(w, e.engine);
+    w.u64(e.seq);
+    w.u32(e.run);
+    encode_rows(w, e.rows);
+  }
+  return finish(FrameType::kExecuteBundle, std::move(w));
+}
+
+ExecuteBundleMsg decode_execute_bundle(const Frame& f) {
+  auto r = open(f, FrameType::kExecuteBundle);
+  ExecuteBundleMsg m;
   m.ingest_ns = r.u64();
-  m.seq = r.u64();
+  m.runs = decode_runs(r, "bundle run");
+  const std::uint32_t entries = r.u32();
+  check_count(entries, r.remaining(), "bundle entry");
+  if (entries == 0) throw Error{"wire: execute bundle carries no entries"};
+  if (m.runs.empty()) throw Error{"wire: execute bundle entries with no runs"};
+  m.entries.reserve(entries);
+  for (std::uint32_t i = 0; i < entries; ++i) {
+    ExecuteBundleMsg::Entry e;
+    e.engine = decode_node_id(r);
+    e.seq = r.u64();
+    e.run = r.u32();
+    if (e.run >= m.runs.size()) {
+      throw Error{"wire: bundle entry names run " + std::to_string(e.run) +
+                  " of " + std::to_string(m.runs.size())};
+    }
+    e.rows = decode_rows(r, "bundle row", m.runs[e.run]->size());
+    m.entries.push_back(std::move(e));
+  }
   r.done();
   return m;
 }
@@ -637,8 +724,8 @@ Frame encode_route_decision(const RouteDecisionMsg& m) {
     encode_node_id(w, t.engine);
     w.u32(t.worker);
     w.u64(t.seq);
-    w.u32(static_cast<std::uint32_t>(t.rows.size()));
-    for (const std::uint32_t row : t.rows) w.u32(row);
+    w.u32(t.run);
+    encode_rows(w, t.rows);
   }
   return finish(FrameType::kRouteDecision, std::move(w));
 }
@@ -656,10 +743,10 @@ RouteDecisionMsg decode_route_decision(const Frame& f) {
     t.engine = decode_node_id(r);
     t.worker = r.u32();
     t.seq = r.u64();
-    const std::uint32_t rows = r.u32();
-    check_count(rows, r.remaining(), "route target row");
-    t.rows.reserve(rows);
-    for (std::uint32_t j = 0; j < rows; ++j) t.rows.push_back(r.u32());
+    t.run = r.u32();
+    // The retained runs live on the owner, so the run index and the row
+    // bound are checked there (Site::on_route_decision).
+    t.rows = decode_rows(r, "route target row");
     m.targets.push_back(std::move(t));
   }
   r.done();

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,9 +36,9 @@ struct HelloMsg {
   /// Non-zero: the node enables its span tracer and ships collected spans
   /// in its kStatsSample frames for driver-side timeline merging.
   std::uint8_t trace = 0;
-  /// Non-zero: peer-link mode. The node retains match-request batches and
-  /// ships kExecute slices worker-to-worker per kRouteDecision instead of
-  /// receiving pre-routed batches from the driver.
+  /// Non-zero: peer-link mode. The node retains match-request runs and
+  /// ships execute bundles worker-to-worker per kRouteDecision instead of
+  /// receiving pre-routed bundles from the driver.
   std::uint8_t peer_links = 0;
   /// Liveness knobs (v3). The driver's sender emits a kHeartbeat whenever
   /// the session channel has been send-idle this long; the node echoes each
@@ -84,38 +85,75 @@ struct DeployUnitMsg {
   query::QuerySpec spec;
 };
 
+/// A source run shared, read-only, between a decoded message and everything
+/// that slices it: the site's engine tasks, its retained peer-link runs and
+/// the driver's data log all hold the same batch, never a copy.
+using SharedRun = std::shared_ptr<const runtime::TupleBatch>;
+
+/// Driver -> owner worker: every run of one chunk whose stream this worker
+/// owns, in chunk order. One request per (chunk, owner).
 struct MatchRequestMsg {
   std::uint64_t job = 0;  ///< driver-assigned sequence, echoed in the reply
-  runtime::TupleBatch batch;
+  std::vector<SharedRun> runs;
 };
+
+/// Matched ascending row indices per subscription of one run, in the
+/// partition's first-match order (the order BrokerPartition::match_batch
+/// appends).
+using RunMatches =
+    std::vector<std::pair<SubscriptionId, std::vector<std::uint32_t>>>;
 
 struct MatchResponseMsg {
   std::uint64_t job = 0;
-  /// Matched ascending row indices per subscription, in the partition's
-  /// first-match order (same order BrokerPartition::match_batch appends).
-  std::vector<std::pair<SubscriptionId, std::vector<std::uint32_t>>>
-      deliveries;
+  std::vector<RunMatches> runs;  ///< parallel to the request's runs
 };
 
-struct ExecuteMsg {
-  NodeId engine;  ///< hosting node of the target engine
-  runtime::TupleBatch batch;  ///< pre-routed rows, in engine input order
-  /// Ingest stamp (common/clock.h now_ns) of the chunk these rows came
-  /// from; echoed back on every result the batch produces so the driver
-  /// can close the end-to-end latency measurement. 0 = not measured.
+/// The one execute format (v4): everything one chunk routes to one worker.
+/// Each run travels once; each entry is one engine's slice of one run,
+/// stamped with that engine's driver-assigned execute seq. The site applies
+/// an engine's slices strictly in seq order — holding back early arrivals
+/// and dropping duplicates — which keeps results byte-identical when
+/// bundles arrive over several channels (peer links, recovery replay).
+/// Decoding checks every run index and row against the decoded runs, so a
+/// site never indexes a run with an unchecked wire value.
+struct ExecuteBundleMsg {
+  struct Entry {
+    NodeId engine;          ///< hosting node of the target engine
+    std::uint64_t seq = 0;  ///< the engine's execute seq (route order)
+    std::uint32_t run = 0;  ///< index into `runs`
+    /// Strictly ascending row indices of the run; empty = all rows.
+    std::vector<std::uint32_t> rows;
+  };
+  /// Ingest stamp (common/clock.h now_ns) of the chunk; echoed back on
+  /// every result the bundle produces so the driver can close the
+  /// end-to-end latency measurement. 0 = not measured.
   std::uint64_t ingest_ns = 0;
-  /// Driver-assigned per-engine sequence number (route order). The site
-  /// applies an engine's executes strictly in seq order — holding back
-  /// early arrivals and dropping duplicates — which is what keeps result
-  /// byte-identity when executes arrive over multiple channels (peer links,
-  /// recovery replay).
+  std::vector<SharedRun> runs;
+  std::vector<Entry> entries;  ///< route order
+
+  /// Appends one engine slice of `run`. The run itself is added unless the
+  /// previous entry already named it; every caller adds in route order, so
+  /// a run's slices are adjacent and each run travels once.
+  void add(NodeId engine, std::uint64_t seq, const SharedRun& run,
+           std::vector<std::uint32_t> rows);
+};
+
+/// One engine's execute on its own. Never encoded: a single-entry bundle
+/// (bundle_of) is its wire and journal form. Callers that produce executes
+/// one at a time (tests, offline journal writers) build these.
+struct ExecuteMsg {
+  NodeId engine;
+  runtime::TupleBatch batch;
+  std::uint64_t ingest_ns = 0;
   std::uint64_t seq = 0;
 };
+
+[[nodiscard]] ExecuteBundleMsg bundle_of(ExecuteMsg m);
 
 struct ResultEventMsg {
   std::string stream;  ///< unit result stream
   stream::Tuple tuple;
-  std::uint64_t ingest_ns = 0;  ///< see ExecuteMsg::ingest_ns
+  std::uint64_t ingest_ns = 0;  ///< see ExecuteBundleMsg::ingest_ns
 };
 
 struct ResultMsg {
@@ -186,7 +224,7 @@ struct MigrateAckMsg {
 struct TrafficReportMsg {
   pubsub::TrafficStats traffic;
   /// Frames/bytes this worker sent on its peer links (kPeerHello +
-  /// kExecute shipping); the driver sums them across the fleet.
+  /// execute-bundle shipping); the driver sums them across the fleet.
   std::uint64_t peer_frames = 0;
   std::uint64_t peer_bytes = 0;
 };
@@ -218,19 +256,21 @@ struct PeerTableMsg {
   std::vector<std::string> endpoints;  ///< endpoints[i] = worker i
 };
 
-/// Driver -> owner worker (peer-link mode): how to slice + ship one match
-/// job's retained batch. One decision per matched run, sent even when
-/// `targets` is empty so the owner can free the retained batch.
+/// Driver -> owner worker (peer-link mode): how to slice + ship the runs
+/// of one match job. One decision per (chunk, owner), sent even when
+/// `targets` is empty so the owner can free the retained runs. The owner
+/// groups the targets by worker into one execute bundle each.
 struct RouteDecisionMsg {
   struct Target {
     NodeId engine;
     std::uint32_t worker = 0;   ///< destination worker index
     std::uint64_t seq = 0;      ///< driver-assigned per-engine execute seq
-    /// Ascending row indices of the retained batch; empty = all rows.
+    std::uint32_t run = 0;      ///< index into the job's retained runs
+    /// Strictly ascending row indices of that run; empty = all rows.
     std::vector<std::uint32_t> rows;
   };
   std::uint64_t job = 0;        ///< the kMatchRequest job this routes
-  std::uint64_t ingest_ns = 0;  ///< echoed onto every produced kExecute
+  std::uint64_t ingest_ns = 0;  ///< echoed onto every produced bundle
   std::vector<Target> targets;
 };
 
@@ -293,8 +333,8 @@ struct SeqGapMsg {
 [[nodiscard]] MatchRequestMsg decode_match_request(const Frame& f);
 [[nodiscard]] Frame encode_match_response(const MatchResponseMsg& m);
 [[nodiscard]] MatchResponseMsg decode_match_response(const Frame& f);
-[[nodiscard]] Frame encode_execute(const ExecuteMsg& m);
-[[nodiscard]] ExecuteMsg decode_execute(const Frame& f);
+[[nodiscard]] Frame encode_execute_bundle(const ExecuteBundleMsg& m);
+[[nodiscard]] ExecuteBundleMsg decode_execute_bundle(const Frame& f);
 [[nodiscard]] Frame encode_result(const ResultMsg& m);
 [[nodiscard]] ResultMsg decode_result(const Frame& f);
 [[nodiscard]] Frame encode_watermark(const WatermarkMsg& m);

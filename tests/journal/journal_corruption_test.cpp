@@ -2,8 +2,8 @@
 // a typed journal::Error or a clean rollback to the last valid checkpoint —
 // never a crash, a hang, or silent divergence. The cases mirror
 // docs/durability.md: torn tail (truncate at the last whole record),
-// flipped CRC byte, truncated header, stale format version, wrong magic,
-// and a commitless / empty directory.
+// flipped CRC byte (also inside an execute bundle), truncated header, stale
+// format version, wrong magic, and a commitless / empty directory.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "journal/journal.h"
@@ -108,9 +110,9 @@ TEST_F(JournalCorruptionTest, TornTailIsTruncatedAtLastWholeRecord) {
   const auto rec = recover(dir_);
   EXPECT_TRUE(rec.torn_tail);
   EXPECT_GE(rec.records_dropped, 1u);
-  // The tear ate chunk 1's marker, so its execute is discarded and the
+  // The tear ate chunk 1's marker, so its bundle is discarded and the
   // resume cut stays at chunk 0's.
-  ASSERT_EQ(rec.executes.size(), 1u);
+  ASSERT_EQ(rec.bundles.size(), 1u);
   EXPECT_EQ(rec.resume_events, 5u);
   EXPECT_EQ(rec.resume_chunk, 1u);
 }
@@ -215,6 +217,63 @@ TEST_F(JournalCorruptionTest, AbandonedPendingSegmentRollsBack) {
   const auto rec = recover(dir_);
   EXPECT_EQ(rec.segments_rolled_back, 1u);
   EXPECT_EQ(rec.resume_events, 9u);
+}
+
+/// A committed segment whose second chunk is one multi-run execute bundle;
+/// returns the byte range [begin, end) that bundle's record occupies.
+std::pair<std::size_t, std::size_t> write_bundle_journal(
+    const std::string& dir, const std::string& path) {
+  Meta meta;
+  meta.batch_size = 16;
+  meta.endpoints = {"unix:/tmp/w0.sock", "unix:/tmp/w1.sock"};
+  auto w = Writer::create(dir, meta, Writer::Options{});
+  w->commit_checkpoint({});
+  w->execute(exec_msg(0));
+  w->chunk_routed({0, 5, 60'000});
+  const std::size_t begin = std::filesystem::file_size(path);
+  wire::ExecuteBundleMsg b;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    const auto run = std::make_shared<const runtime::TupleBatch>(
+        one_row("S" + std::to_string(r), 20 + r));
+    for (std::uint32_t e = 1; e <= 3; ++e) b.add(NodeId{e}, r, run, {});
+  }
+  w->execute(wire::encode_execute_bundle(b));
+  const std::size_t end = std::filesystem::file_size(path);
+  w->chunk_routed({1, 9, 120'000});
+  return {begin, end};
+}
+
+TEST_F(JournalCorruptionTest, TornTailInsideBundleIsTruncated) {
+  const auto [begin, end] = write_bundle_journal(dir_, seg_path());
+  auto bytes = slurp(seg_path());
+  // The crash tore the bundle's write: half of it (and no marker) landed.
+  bytes.resize(begin + (end - begin) / 2);
+  dump(seg_path(), bytes);
+
+  const auto rec = recover(dir_);
+  EXPECT_TRUE(rec.torn_tail);
+  EXPECT_EQ(rec.records_dropped, 1u);
+  ASSERT_EQ(rec.bundles.size(), 1u);  // chunk 0 only
+  EXPECT_EQ(rec.resume_events, 5u);
+  EXPECT_EQ(rec.resume_chunk, 1u);
+}
+
+TEST_F(JournalCorruptionTest, FlippedByteInsideBundleRollsBackToLastWholeChunk) {
+  const auto [begin, end] = write_bundle_journal(dir_, seg_path());
+  auto bytes = slurp(seg_path());
+  // Well inside the bundle body: the record fails its CRC, the scan stops
+  // there, and the segment rolls back to chunk 0's marker — the bundle and
+  // the marker after it are both discarded.
+  bytes[begin + (end - begin) / 2] ^= 0x40;
+  dump(seg_path(), bytes);
+
+  const auto rec = recover(dir_);
+  EXPECT_FALSE(rec.torn_tail);
+  EXPECT_EQ(rec.records_dropped, 1u);
+  ASSERT_EQ(rec.bundles.size(), 1u);
+  EXPECT_EQ(rec.resume_events, 5u);
+  EXPECT_EQ(rec.resume_chunk, 1u);
+  EXPECT_EQ(rec.watermark, 60'000);
 }
 
 }  // namespace

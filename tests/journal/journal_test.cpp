@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -120,12 +121,12 @@ TEST_F(JournalTest, FreshRunRoundTrips) {
   EXPECT_EQ(rec.checkpoint.checkpoint_id, 1u);
   EXPECT_TRUE(rec.engines.empty());
 
-  ASSERT_EQ(rec.executes.size(), 3u);
-  EXPECT_EQ(rec.executes[0].engine.value(), 3u);
-  EXPECT_EQ(rec.executes[0].seq, 0u);
-  EXPECT_EQ(rec.executes[2].seq, 1u);
-  EXPECT_EQ(rec.executes[2].batch.size(), 1u);
-  EXPECT_EQ(rec.executes[2].batch.ts(0), 20);
+  ASSERT_EQ(rec.bundles.size(), 3u);
+  EXPECT_EQ(rec.bundles[0].entries[0].engine.value(), 3u);
+  EXPECT_EQ(rec.bundles[0].entries[0].seq, 0u);
+  EXPECT_EQ(rec.bundles[2].entries[0].seq, 1u);
+  EXPECT_EQ(rec.bundles[2].runs[0]->size(), 1u);
+  EXPECT_EQ(rec.bundles[2].runs[0]->ts(0), 20);
 
   // Delivered floors sum per stream, in stream order.
   ASSERT_EQ(rec.delivered.size(), 2u);
@@ -156,8 +157,8 @@ TEST_F(JournalTest, PartialChunkExecutesAreDiscarded) {
     w->execute(make_exec(4, 0, 20));
   }
   const auto rec = recover(dir_);
-  ASSERT_EQ(rec.executes.size(), 1u);
-  EXPECT_EQ(rec.executes[0].seq, 0u);
+  ASSERT_EQ(rec.bundles.size(), 1u);
+  EXPECT_EQ(rec.bundles[0].entries[0].seq, 0u);
   EXPECT_EQ(rec.resume_events, 5u);
   EXPECT_EQ(rec.resume_chunk, 1u);
   EXPECT_EQ(rec.records_dropped, 2u);
@@ -199,8 +200,8 @@ TEST_F(JournalTest, CheckpointRollsASelfContainedSegment) {
   EXPECT_EQ(rec.engines[0].engine.value(), 3u);
   EXPECT_EQ(rec.engines[0].worker, 1u);
   EXPECT_EQ(rec.engines[0].exec_seq, 1u);
-  ASSERT_EQ(rec.executes.size(), 1u);  // only the new epoch's tail
-  EXPECT_EQ(rec.executes[0].seq, 1u);
+  ASSERT_EQ(rec.bundles.size(), 1u);  // only the new epoch's tail
+  EXPECT_EQ(rec.bundles[0].entries[0].seq, 1u);
   EXPECT_EQ(rec.resume_events, 9u);
   EXPECT_EQ(rec.resume_chunk, 2u);
   EXPECT_EQ(rec.next_segment, 3u);
@@ -224,7 +225,7 @@ TEST_F(JournalTest, AbortedCheckpointFallsBackToActiveSegment) {
   }
   EXPECT_EQ(segment_count(dir_), 1u);  // pending segment unlinked
   const auto rec = recover(dir_);
-  EXPECT_EQ(rec.executes.size(), 2u);
+  EXPECT_EQ(rec.bundles.size(), 2u);
   EXPECT_EQ(rec.resume_events, 9u);
 }
 
@@ -325,6 +326,63 @@ TEST_F(JournalTest, FsyncPolicyCounts) {
   EXPECT_GT(commit, never);
   EXPECT_GT(chunk, commit);
   EXPECT_GT(every, chunk);
+}
+
+/// Chunk-shaped bundles: worker 0's bundle for chunk k is journaled but the
+/// crash lands before chunk k's marker (worker 1's bundle never made it).
+/// Recovery drops that bundle, counts it, and replays whole chunks only.
+TEST_F(JournalTest, BundleWithoutChunkMarkerIsDropped) {
+  const auto run = [](const std::string& stream, stream::Timestamp ts) {
+    return std::make_shared<const runtime::TupleBatch>(small_batch(stream, ts));
+  };
+  const auto bundle = [&](std::uint64_t seq, stream::Timestamp ts,
+                          std::vector<std::uint32_t> engines) {
+    wire::ExecuteBundleMsg b;
+    b.ingest_ns = 500 + seq;
+    const auto shared = run("S" + std::to_string(ts), ts);
+    for (const auto e : engines) b.add(NodeId{e}, seq, shared, {});
+    return wire::encode_execute_bundle(b);
+  };
+  {
+    auto w = Writer::create(dir_, test_meta(), Writer::Options{});
+    w->commit_checkpoint({});
+    // Chunk 0: one bundle per worker, then its marker.
+    w->execute(bundle(0, 10, {2, 4}));
+    w->execute(bundle(0, 10, {3}));
+    w->chunk_routed({0, 5, 60'000});
+    // Chunk 1: worker 0's bundle only — no marker.
+    w->execute(bundle(1, 20, {2, 4}));
+  }
+  const auto rec = recover(dir_);
+  ASSERT_EQ(rec.bundles.size(), 2u);
+  const auto& w0 = rec.bundles[0];
+  ASSERT_EQ(w0.runs.size(), 1u);  // the run travelled once for both engines
+  ASSERT_EQ(w0.entries.size(), 2u);
+  EXPECT_EQ(w0.entries[0].engine.value(), 2u);
+  EXPECT_EQ(w0.entries[1].engine.value(), 4u);
+  EXPECT_EQ(w0.entries[1].run, 0u);
+  EXPECT_EQ(w0.ingest_ns, 500u);
+  EXPECT_EQ(rec.bundles[1].entries[0].engine.value(), 3u);
+  EXPECT_EQ(rec.records_dropped, 1u);
+  EXPECT_FALSE(rec.torn_tail);
+  EXPECT_EQ(rec.resume_events, 5u);
+  EXPECT_EQ(rec.resume_chunk, 1u);
+}
+
+/// A journal written for wire protocol v3 is refused with a typed error.
+TEST_F(JournalTest, RefusesV3Journal) {
+  {
+    auto meta = test_meta();
+    meta.protocol = 3;
+    auto w = Writer::create(dir_, meta, Writer::Options{});
+    w->commit_checkpoint({});
+  }
+  try {
+    (void)recover(dir_);
+    ADD_FAILURE() << "a v3 journal was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadVersion);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // node::Site driven frame-by-frame in process (no sockets): the daemon's
-// protocol surface — topology/registration/deployment, match requests,
-// execute + flush + result shipping, watermarks, and the migrate-out ->
-// migrate-in state round trip (differential against a site that never
-// migrated).
+// protocol surface — topology/registration/deployment, chunk match
+// requests, execute bundles + flush + result shipping, watermarks, and the
+// migrate-out -> migrate-in state round trip (differential against a site
+// that never migrated).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,6 +50,10 @@ runtime::TupleBatch make_batch(
   return b;
 }
 
+wire::SharedRun shared(runtime::TupleBatch b) {
+  return std::make_shared<const runtime::TupleBatch>(std::move(b));
+}
+
 /// Feeds frames into one Site and collects shipped result lines in order.
 struct Harness {
   Site site{{1, 16}};
@@ -63,7 +69,7 @@ struct Harness {
     m.engine = engine;
     m.batch = batch;
     m.seq = next_seq[engine.value()]++;
-    feed(wire::encode_execute(m));
+    feed(wire::encode_execute_bundle(wire::bundle_of(std::move(m))));
   }
 
   void feed(const Frame& f) {
@@ -113,16 +119,24 @@ TEST(Site, MatchRequestReturnsPerSubscriptionRows) {
   sub.streams = {"a"};
   h.feed(wire::encode_subscribe({sub}));
 
+  // One request carries every run of the chunk the owner owns; the
+  // response answers them in request order.
   h.feed(wire::encode_match_request(
-      {42, make_batch("a", {{0, 1.0}, {5, 2.0}, {9, 3.0}})}));
+      {42,
+       {shared(make_batch("a", {{0, 1.0}, {5, 2.0}, {9, 3.0}})),
+        shared(make_batch("b", {{10, 4.0}})),
+        shared(make_batch("a", {{12, 5.0}}))}}));
   const auto responses = h.of_type(FrameType::kMatchResponse);
   ASSERT_EQ(responses.size(), 1u);
   const auto resp = wire::decode_match_response(responses[0]);
   EXPECT_EQ(resp.job, 42u);
-  ASSERT_EQ(resp.deliveries.size(), 1u);
-  EXPECT_EQ(resp.deliveries[0].first, SubscriptionId{7});
-  EXPECT_EQ(resp.deliveries[0].second,
-            (std::vector<std::uint32_t>{0, 1, 2}));
+  ASSERT_EQ(resp.runs.size(), 3u);
+  ASSERT_EQ(resp.runs[0].size(), 1u);
+  EXPECT_EQ(resp.runs[0][0].first, SubscriptionId{7});
+  EXPECT_EQ(resp.runs[0][0].second, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_TRUE(resp.runs[1].empty());  // nobody subscribes to "b"
+  ASSERT_EQ(resp.runs[2].size(), 1u);
+  EXPECT_EQ(resp.runs[2][0].second, (std::vector<std::uint32_t>{0}));
 }
 
 TEST(Site, ExecuteFlushShipsJoinResults) {
@@ -147,12 +161,14 @@ TEST(Site, UnexpectedFrameAndUnknownEngineThrow) {
   std::vector<Frame> out;
   EXPECT_THROW(
       (void)h.site.handle(
-          wire::encode_match_request({1, make_batch("a", {{0, 1.0}})}), out),
+          wire::encode_match_request({1, {shared(make_batch("a", {{0, 1.0}}))}}),
+          out),
       wire::Error);
   h.register_streams();
   EXPECT_THROW(
-      (void)h.site.handle(
-          wire::encode_execute({NodeId{2}, make_batch("a", {{0, 1.0}})}), out),
+      (void)h.site.handle(wire::encode_execute_bundle(wire::bundle_of(
+                              {NodeId{2}, make_batch("a", {{0, 1.0}})})),
+                          out),
       wire::Error);
   EXPECT_THROW(
       (void)h.site.handle(wire::encode_match_response({1, {}}), out),
@@ -314,10 +330,12 @@ TEST(Site, PeerExecutesReorderBySeqAndDropDuplicates) {
   e1.batch = make_batch("b", {{2000, 4.0}});
   e1.seq = 1;
 
-  h.site.apply_peer_execute(e1);  // early: held back until seq 0 lands
-  h.site.apply_peer_execute(e0);
-  h.site.apply_peer_execute(e0);  // replayed duplicate: dropped
-  h.site.apply_peer_execute(e1);  // replayed duplicate: dropped
+  const auto b0 = wire::bundle_of(e0);
+  const auto b1 = wire::bundle_of(e1);
+  h.site.apply_peer_bundle(b1);  // early: held back until seq 0 lands
+  h.site.apply_peer_bundle(b0);
+  h.site.apply_peer_bundle(b0);  // replayed duplicate: dropped
+  h.site.apply_peer_bundle(b1);  // replayed duplicate: dropped
 
   // Flush floors at the driver frontier (seq 2): the ack must wait for
   // both peer executes, and with the emit sink installed the results ride
@@ -338,6 +356,139 @@ TEST(Site, PeerExecutesReorderBySeqAndDropDuplicates) {
   }
   EXPECT_TRUE(acked);
   EXPECT_EQ(lines, control.results);
+}
+
+/// Cumulative shard counter `name` from the stats sample the last feed()
+/// produced (the hello must have enabled sampling).
+std::uint64_t sampled_counter(const Harness& h, const std::string& name) {
+  const auto samples = h.of_type(FrameType::kStatsSample);
+  if (samples.empty()) {
+    ADD_FAILURE() << "no stats sample in the last feed";
+    return 0;
+  }
+  const auto m = wire::decode_stats_sample(samples.back());
+  const auto* v = m.metrics.counter(name);
+  return v == nullptr ? 0 : *v;
+}
+
+void enable_sampling(Harness& h) {
+  wire::HelloMsg hello;
+  hello.stats_sample_every_ms = 1;
+  h.feed(wire::encode_hello(hello));
+}
+
+/// A bundle carries each run once and fans it out to every engine it
+/// names: one runtime task per (bundle, engine) holding slices over the
+/// shared runs, with results identical to one execute per slice.
+TEST(Site, BundleFansSharedRunsOutInOneTaskPerEngine) {
+  const auto spec = cql::parse_query(
+      "SELECT S1.x, S2.x FROM a [Range 1 Hours] S1, b [Range 1 Hours] S2 "
+      "WHERE S1.x >= S2.x",
+      QueryId{1}, NodeId{3});
+  const auto a = make_batch("a", {{1000, 5.0}, {1500, 1.0}});
+  const auto b = make_batch("b", {{2000, 4.0}});
+  const auto setup = [&](Harness& h) {
+    h.register_streams();
+    h.deploy_join_unit();
+    h.feed(
+        wire::encode_deploy_unit({1, NodeId{1}, "cosmos.result.1.v1", spec}));
+  };
+
+  Harness control;
+  setup(control);
+  control.exec(NodeId{2}, a);
+  control.exec(NodeId{2}, b);
+  control.exec(NodeId{1}, a.select({0}));
+  control.exec(NodeId{1}, b);
+  control.feed(wire::encode_flush({1}));
+  ASSERT_EQ(control.results.size(), 2u);
+
+  Harness h;
+  enable_sampling(h);
+  setup(h);
+  wire::ExecuteBundleMsg bundle;
+  const auto run_a = shared(a);
+  const auto run_b = shared(b);
+  // Route order: run by run, each run's engines in turn.
+  bundle.add(NodeId{1}, 0, run_a, {0});
+  bundle.add(NodeId{2}, 0, run_a, {});
+  bundle.add(NodeId{1}, 1, run_b, {});
+  bundle.add(NodeId{2}, 1, run_b, {});
+  ASSERT_EQ(bundle.runs.size(), 2u);  // each run travels once
+  h.feed(wire::encode_execute_bundle(bundle));
+  h.feed(wire::encode_flush({1}));
+  EXPECT_EQ(sampled_counter(h, "shard.tasks"), 2u);    // one per engine
+  EXPECT_EQ(sampled_counter(h, "shard.batches"), 4u);  // one per slice
+
+  auto want = control.results;
+  auto got = h.results;
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+}
+
+/// A watermark prunes each hosted engine with one task covering all of
+/// its units, not one task per unit.
+TEST(Site, WatermarkPrunesWithOneTaskPerEngine) {
+  const auto spec = cql::parse_query(
+      "SELECT S1.x, S2.x FROM a [Range 1 Hours] S1, b [Range 1 Hours] S2 "
+      "WHERE S1.x < S2.x",
+      QueryId{2}, NodeId{3});
+  Harness h;
+  enable_sampling(h);
+  h.register_streams();
+  h.deploy_join_unit();
+  h.feed(wire::encode_deploy_unit({1, NodeId{2}, "cosmos.result.1.v1", spec}));
+  ASSERT_EQ(h.site.deployed_units(), 2u);
+  h.feed(wire::encode_watermark({3'600'000}));
+  h.feed(wire::encode_flush({1}));
+  EXPECT_EQ(sampled_counter(h, "shard.match_tasks"), 1u);
+}
+
+/// Peer-link owners slice retained runs by the wire's run index and rows;
+/// both are checked against the retained runs before any run is indexed.
+TEST(Site, RouteDecisionChecksRunIndexAndRows) {
+  Harness h;
+  wire::HelloMsg hello;
+  hello.peer_links = 1;
+  h.feed(wire::encode_hello(hello));
+  h.register_streams();
+  h.deploy_join_unit();
+  const auto run = shared(make_batch("a", {{0, 1.0}, {5, 2.0}}));
+  std::vector<Frame> out;
+
+  h.feed(wire::encode_match_request({5, {run}}));
+  wire::RouteDecisionMsg bad_run;
+  bad_run.job = 5;
+  bad_run.targets.push_back({NodeId{2}, 0, 0, 1, {}});  // only run 0 exists
+  EXPECT_THROW((void)h.site.handle(wire::encode_route_decision(bad_run), out),
+               wire::Error);
+
+  h.feed(wire::encode_match_request({6, {run}}));
+  wire::RouteDecisionMsg bad_row;
+  bad_row.job = 6;
+  bad_row.targets.push_back({NodeId{2}, 0, 0, 0, {0, 2}});  // 2 == size
+  EXPECT_THROW((void)h.site.handle(wire::encode_route_decision(bad_row), out),
+               wire::Error);
+
+  // A well-formed decision for this worker's own engine applies locally.
+  h.feed(wire::encode_match_request({7, {run}}));
+  wire::RouteDecisionMsg good;
+  good.job = 7;
+  good.targets.push_back({NodeId{2}, 0, 0, 0, {1}});
+  h.feed(wire::encode_route_decision(good));
+  h.feed(wire::encode_flush({1, {{NodeId{2}, 1}}}));
+  EXPECT_EQ(h.of_type(FrameType::kFlushAck).size(), 1u);
+}
+
+/// A v3 driver is refused with a typed error, never half-served.
+TEST(Site, RefusesV3Hello) {
+  Harness h;
+  wire::HelloMsg hello;
+  hello.protocol = 3;
+  std::vector<Frame> out;
+  EXPECT_THROW((void)h.site.handle(wire::encode_hello(hello), out),
+               wire::Error);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -81,18 +82,132 @@ runtime::TupleBatch random_batch(Rng& rng) {
   return batch;
 }
 
+SharedRun shared(runtime::TupleBatch b) {
+  return std::make_shared<const runtime::TupleBatch>(std::move(b));
+}
+
+/// A random chunk-shaped bundle: 1-5 runs, 1-12 entries, each entry a
+/// random engine slice (all rows, or a random ascending subset).
+ExecuteBundleMsg random_bundle(Rng& rng) {
+  ExecuteBundleMsg m;
+  m.ingest_ns = rng.next_u64();
+  const std::size_t runs = 1 + rng.next_below(5);
+  for (std::size_t i = 0; i < runs; ++i) m.runs.push_back(shared(random_batch(rng)));
+  const std::size_t entries = 1 + rng.next_below(12);
+  for (std::size_t i = 0; i < entries; ++i) {
+    ExecuteBundleMsg::Entry e;
+    e.engine = NodeId{static_cast<NodeId::value_type>(rng.next_below(50))};
+    e.seq = rng.next_u64() >> 8;
+    e.run = static_cast<std::uint32_t>(rng.next_below(runs));
+    if (rng.next_below(2) == 0) {
+      for (std::uint32_t r = 0; r < m.runs[e.run]->size(); ++r) {
+        if (rng.next_below(2) == 0) e.rows.push_back(r);
+      }
+    }
+    m.entries.push_back(std::move(e));
+  }
+  return m;
+}
+
+void expect_bundles_eq(const ExecuteBundleMsg& a, const ExecuteBundleMsg& b) {
+  EXPECT_EQ(a.ingest_ns, b.ingest_ns);
+  ASSERT_EQ(a.runs.size(), b.runs.size());
+  for (std::size_t i = 0; i < a.runs.size(); ++i) {
+    EXPECT_EQ(*a.runs[i], *b.runs[i]);
+  }
+  ASSERT_EQ(a.entries.size(), b.entries.size());
+  for (std::size_t i = 0; i < a.entries.size(); ++i) {
+    EXPECT_EQ(a.entries[i].engine, b.entries[i].engine);
+    EXPECT_EQ(a.entries[i].seq, b.entries[i].seq);
+    EXPECT_EQ(a.entries[i].run, b.entries[i].run);
+    EXPECT_EQ(a.entries[i].rows, b.entries[i].rows);
+  }
+}
+
 TEST(WireCodec, BatchRoundTripFuzz) {
   Rng rng{20260808};
   for (int iter = 0; iter < 200; ++iter) {
-    const auto batch = random_batch(rng);
     MatchRequestMsg msg;
     msg.job = rng.next_u64();
-    msg.batch = batch;
+    const std::size_t runs = 1 + rng.next_below(4);
+    for (std::size_t i = 0; i < runs; ++i) {
+      msg.runs.push_back(shared(random_batch(rng)));
+    }
     const Frame f = encode_match_request(msg);
     const auto back = decode_match_request(f);
     EXPECT_EQ(back.job, msg.job);
-    ASSERT_EQ(back.batch, batch) << "iteration " << iter;
+    ASSERT_EQ(back.runs.size(), msg.runs.size());
+    for (std::size_t i = 0; i < runs; ++i) {
+      ASSERT_EQ(*back.runs[i], *msg.runs[i]) << "iteration " << iter;
+    }
   }
+}
+
+TEST(WireCodec, MatchResponseRoundTripFuzz) {
+  Rng rng{77};
+  for (int iter = 0; iter < 200; ++iter) {
+    MatchResponseMsg msg;
+    msg.job = rng.next_u64();
+    msg.runs.resize(rng.next_below(6));
+    for (auto& run : msg.runs) {
+      const std::size_t subs = rng.next_below(4);
+      for (std::size_t i = 0; i < subs; ++i) {
+        std::vector<std::uint32_t> rows;
+        for (std::uint32_t r = 0; r < 20; ++r) {
+          if (rng.next_below(3) == 0) rows.push_back(r);
+        }
+        run.emplace_back(
+            SubscriptionId{static_cast<std::uint32_t>(rng.next_below(900))},
+            std::move(rows));
+      }
+    }
+    const auto back = decode_match_response(encode_match_response(msg));
+    EXPECT_EQ(back.job, msg.job);
+    ASSERT_EQ(back.runs, msg.runs) << "iteration " << iter;
+  }
+}
+
+TEST(WireCodec, ExecuteBundleRoundTripFuzz) {
+  Rng rng{4040};
+  for (int iter = 0; iter < 200; ++iter) {
+    const auto msg = random_bundle(rng);
+    const auto back = decode_execute_bundle(encode_execute_bundle(msg));
+    expect_bundles_eq(back, msg);
+  }
+}
+
+TEST(WireCodec, BundleAddSharesEachRunOnce) {
+  Rng rng{5};
+  const auto r0 = shared(random_batch(rng));
+  const auto r1 = shared(random_batch(rng));
+  ExecuteBundleMsg m;
+  m.add(NodeId{1}, 0, r0, {});
+  m.add(NodeId{2}, 0, r0, {});
+  m.add(NodeId{1}, 1, r1, {});
+  m.add(NodeId{3}, 1, r1, {2});
+  ASSERT_EQ(m.runs.size(), 2u);  // route order: each run once
+  EXPECT_EQ(m.runs[0], r0);
+  EXPECT_EQ(m.runs[1], r1);
+  ASSERT_EQ(m.entries.size(), 4u);
+  EXPECT_EQ(m.entries[1].run, 0u);
+  EXPECT_EQ(m.entries[2].run, 1u);
+  EXPECT_EQ(m.entries[3].run, 1u);
+  EXPECT_EQ(m.entries[3].rows, (std::vector<std::uint32_t>{2}));
+
+  // A standalone execute is a single-entry bundle.
+  ExecuteMsg one;
+  one.engine = NodeId{4};
+  one.batch = *r1;
+  one.seq = 9;
+  one.ingest_ns = 12;
+  const auto b = bundle_of(one);
+  ASSERT_EQ(b.runs.size(), 1u);
+  EXPECT_EQ(*b.runs[0], *r1);
+  ASSERT_EQ(b.entries.size(), 1u);
+  EXPECT_EQ(b.entries[0].engine, NodeId{4});
+  EXPECT_EQ(b.entries[0].seq, 9u);
+  EXPECT_TRUE(b.entries[0].rows.empty());
+  EXPECT_EQ(b.ingest_ns, 12u);
 }
 
 TEST(WireCodec, ValueAndTupleRoundTripFuzz) {
@@ -174,8 +289,8 @@ TEST(WireCodec, PeerFramesRoundTrip) {
   RouteDecisionMsg route;
   route.job = 41;
   route.ingest_ns = 777ull;
-  route.targets.push_back({NodeId{3}, 1, 12, {0, 2, 5}});
-  route.targets.push_back({NodeId{9}, 0, 4, {}});
+  route.targets.push_back({NodeId{3}, 1, 12, 2, {0, 2, 5}});
+  route.targets.push_back({NodeId{9}, 0, 4, 0, {}});
   const auto r = decode_route_decision(encode_route_decision(route));
   EXPECT_EQ(r.job, 41u);
   EXPECT_EQ(r.ingest_ns, 777u);
@@ -183,9 +298,16 @@ TEST(WireCodec, PeerFramesRoundTrip) {
   EXPECT_EQ(r.targets[0].engine, NodeId{3});
   EXPECT_EQ(r.targets[0].worker, 1u);
   EXPECT_EQ(r.targets[0].seq, 12u);
+  EXPECT_EQ(r.targets[0].run, 2u);
   EXPECT_EQ(r.targets[0].rows, (std::vector<std::uint32_t>{0, 2, 5}));
   EXPECT_EQ(r.targets[1].engine, NodeId{9});
   EXPECT_TRUE(r.targets[1].rows.empty());
+
+  // Rows of a route target must ascend strictly.
+  RouteDecisionMsg unsorted = route;
+  unsorted.targets[0].rows = {2, 2};
+  EXPECT_THROW(
+      (void)decode_route_decision(encode_route_decision(unsorted)), Error);
 
   const auto ph = decode_peer_hello(encode_peer_hello({kProtocolVersion, 2}));
   EXPECT_EQ(ph.protocol, kProtocolVersion);
@@ -237,8 +359,9 @@ TEST(WireCodec, RecoveryFieldsRoundTrip) {
   exec.batch = runtime::TupleBatch{"S"};
   exec.batch.push_back(random_tuple(rng, 2, 10));
   exec.seq = 987'654;
-  const auto e = decode_execute(encode_execute(exec));
-  EXPECT_EQ(e.seq, 987'654u);
+  const auto e = decode_execute_bundle(encode_execute_bundle(bundle_of(exec)));
+  ASSERT_EQ(e.entries.size(), 1u);
+  EXPECT_EQ(e.entries[0].seq, 987'654u);
 
   const auto keep = decode_migrate_out(encode_migrate_out({NodeId{4}, 1}));
   EXPECT_EQ(keep.engine, NodeId{4});
@@ -359,8 +482,10 @@ TEST(WireCodec, ExecuteAndResultCarryIngestStamps) {
   exec.batch = runtime::TupleBatch{"S"};
   exec.batch.push_back(random_tuple(rng, 2, 10));
   exec.ingest_ns = 123'456'789'012ull;
-  const auto exec_back = decode_execute(encode_execute(exec));
-  EXPECT_EQ(exec_back.engine, exec.engine);
+  const auto exec_back =
+      decode_execute_bundle(encode_execute_bundle(bundle_of(exec)));
+  ASSERT_EQ(exec_back.entries.size(), 1u);
+  EXPECT_EQ(exec_back.entries[0].engine, exec.engine);
   EXPECT_EQ(exec_back.ingest_ns, exec.ingest_ns);
 
   ResultMsg result;
@@ -463,7 +588,7 @@ TEST(WireCodec, RejectsTruncatedPayload) {
   Rng rng{3};
   MatchRequestMsg msg;
   msg.job = 5;
-  msg.batch = random_batch(rng);
+  msg.runs.push_back(shared(random_batch(rng)));
   Frame f = encode_match_request(msg);
   ASSERT_GT(f.payload.size(), 1u);
   f.payload.resize(f.payload.size() / 2);
@@ -523,6 +648,171 @@ TEST(WireCodec, SerializedStateBytesMatchesEncoding) {
   Writer w;
   encode_join_state(w, joins);
   EXPECT_EQ(serialized_state_bytes(joins), w.size());
+}
+
+// --- v4 chunk frames: malformed inputs -------------------------------------
+
+/// Hand-built bundle payload: runs, then entries as (engine, seq, run,
+/// rows) — lets a test write exactly the malformed field it means.
+struct RawBundle {
+  std::vector<runtime::TupleBatch> runs;
+  struct Entry {
+    std::uint32_t engine = 1;
+    std::uint64_t seq = 0;
+    std::uint32_t run = 0;
+    std::vector<std::uint32_t> rows;
+  };
+  std::vector<Entry> entries;
+
+  [[nodiscard]] Frame frame() const {
+    Writer w;
+    w.u64(0);
+    w.u32(static_cast<std::uint32_t>(runs.size()));
+    for (const auto& r : runs) encode_batch(w, r);
+    w.u32(static_cast<std::uint32_t>(entries.size()));
+    for (const auto& e : entries) {
+      w.u32(e.engine);
+      w.u64(e.seq);
+      w.u32(e.run);
+      w.u32(static_cast<std::uint32_t>(e.rows.size()));
+      for (const auto r : e.rows) w.u32(r);
+    }
+    return Frame{FrameType::kExecuteBundle, w.take()};
+  }
+};
+
+RawBundle two_row_bundle() {
+  Rng rng{99};
+  RawBundle b;
+  runtime::TupleBatch run{"S"};
+  run.push_back(random_tuple(rng, 2, 10));
+  run.push_back(random_tuple(rng, 2, 11));
+  b.runs.push_back(std::move(run));
+  b.entries.push_back({});
+  return b;
+}
+
+TEST(WireCodec, RejectsMalformedBundles) {
+  // The well-formed baseline decodes.
+  EXPECT_NO_THROW((void)decode_execute_bundle(two_row_bundle().frame()));
+
+  auto run_out_of_range = two_row_bundle();
+  run_out_of_range.entries[0].run = 1;
+  EXPECT_THROW((void)decode_execute_bundle(run_out_of_range.frame()), Error);
+
+  auto unsorted = two_row_bundle();
+  unsorted.entries[0].rows = {1, 0};
+  EXPECT_THROW((void)decode_execute_bundle(unsorted.frame()), Error);
+
+  auto repeated = two_row_bundle();
+  repeated.entries[0].rows = {0, 0};
+  EXPECT_THROW((void)decode_execute_bundle(repeated.frame()), Error);
+
+  auto past_end = two_row_bundle();
+  past_end.entries[0].rows = {0, 2};  // reaches the run's size
+  EXPECT_THROW((void)decode_execute_bundle(past_end.frame()), Error);
+
+  auto no_runs = two_row_bundle();
+  no_runs.runs.clear();
+  EXPECT_THROW((void)decode_execute_bundle(no_runs.frame()), Error);
+
+  auto no_entries = two_row_bundle();
+  no_entries.entries.clear();
+  EXPECT_THROW((void)decode_execute_bundle(no_entries.frame()), Error);
+
+  // Implausible counts: a claimed run, entry or row count larger than the
+  // bytes left fails the count check before anything is reserved.
+  const Frame valid = two_row_bundle().frame();
+  Writer runs_prefix;
+  runs_prefix.u64(0);
+  runs_prefix.u32(1);
+  encode_batch(runs_prefix, two_row_bundle().runs[0]);
+  const std::size_t run_count_at = 8;
+  const std::size_t entry_count_at = runs_prefix.size();
+  const std::size_t row_count_at = valid.payload.size() - 4;  // last field
+  for (const std::size_t at : {run_count_at, entry_count_at, row_count_at}) {
+    Frame f = valid;
+    for (std::size_t i = 0; i < 4; ++i) f.payload[at + i] = 0xFF;
+    EXPECT_THROW((void)decode_execute_bundle(f), Error) << "offset " << at;
+  }
+}
+
+TEST(WireCodec, RejectsMalformedMatchFrames) {
+  // A request must carry runs.
+  EXPECT_THROW((void)decode_match_request(encode_match_request({3, {}})),
+               Error);
+
+  MatchResponseMsg unsorted;
+  unsorted.job = 1;
+  unsorted.runs.push_back({{SubscriptionId{4}, {3, 1}}});
+  EXPECT_THROW((void)decode_match_response(encode_match_response(unsorted)),
+               Error);
+
+  // Run count claiming more runs than bytes left.
+  Writer w;
+  w.u64(1);
+  w.u32(0x8000'0000u);
+  EXPECT_THROW(
+      (void)decode_match_response(Frame{FrameType::kMatchResponse, w.take()}),
+      Error);
+  Writer wr;
+  wr.u64(1);
+  wr.u32(0x8000'0000u);
+  EXPECT_THROW(
+      (void)decode_match_request(Frame{FrameType::kMatchRequest, wr.take()}),
+      Error);
+}
+
+/// Mutation sweep: flipping any single byte of an encoded bundle or chunk
+/// match frame either still decodes into a bundle whose run indices and
+/// rows are all in range, or throws wire::Error — never a crash, an
+/// unchecked index, or an exception of another type.
+TEST(WireCodec, ChunkFrameMutationsNeverMisparse) {
+  Rng rng{31337};
+  for (int iter = 0; iter < 12; ++iter) {
+    const Frame bundle = encode_execute_bundle(random_bundle(rng));
+    for (std::size_t i = 0; i < bundle.payload.size(); ++i) {
+      Frame mutated = bundle;
+      mutated.payload[i] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+      try {
+        const auto m = decode_execute_bundle(mutated);
+        for (const auto& e : m.entries) {
+          ASSERT_LT(e.run, m.runs.size());
+          for (std::size_t k = 0; k < e.rows.size(); ++k) {
+            ASSERT_LT(e.rows[k], m.runs[e.run]->size());
+            if (k > 0) ASSERT_LT(e.rows[k - 1], e.rows[k]);
+          }
+        }
+      } catch (const Error&) {
+      }
+    }
+    MatchRequestMsg req;
+    req.job = iter;
+    req.runs.push_back(shared(random_batch(rng)));
+    const Frame request = encode_match_request(req);
+    for (std::size_t i = 0; i < request.payload.size(); ++i) {
+      Frame mutated = request;
+      mutated.payload[i] ^= 0x5A;
+      try {
+        (void)decode_match_request(mutated);
+      } catch (const Error&) {
+      }
+    }
+  }
+}
+
+/// A v3 peer's frames are refused at the header, typed.
+TEST(WireCodec, RejectsV3Frames) {
+  static_assert(kProtocolVersion == 4);
+  auto buf = encoded(encode_watermark({1}));
+  buf[4] = 3;  // u16 LE version
+  buf[5] = 0;
+  std::uint8_t header[kFrameHeaderBytes];
+  std::copy(buf.begin(), buf.begin() + kFrameHeaderBytes, header);
+  FrameType type{};
+  EXPECT_THROW((void)decode_frame_header(header, type), Error);
+  // The explicit peer-hello echo names the version too.
+  EXPECT_EQ(decode_peer_hello(encode_peer_hello({3, 1})).protocol, 3);
 }
 
 }  // namespace

@@ -238,7 +238,7 @@ TEST(FrameChannel, CloseIsBoundedAgainstAWedgedPeer) {
   opts.close_drain_ms = 200;
   FrameChannel client{connect_to(listener.endpoint()), opts};
   Frame big;
-  big.type = FrameType::kExecute;
+  big.type = FrameType::kExecuteBundle;
   big.payload.assign(1024 * 1024, 0x5A);  // far beyond the socket buffer
   for (int i = 0; i < 4; ++i) client.send(big);
   const auto t0 = std::chrono::steady_clock::now();
