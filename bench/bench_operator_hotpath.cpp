@@ -6,10 +6,11 @@
 //                 virtual dispatch + string field lookups, the pre-PR-4
 //                 hot path) vs the compiled program, scalar and
 //                 batch-at-a-time;
-//   join-heavy  — WindowJoinOp hash-index probe vs the O(window) scanning
-//                 probe at growing window sizes: the hash probe must win
-//                 superlinearly as the window grows (its cost tracks
-//                 matches, the scan's tracks window occupancy);
+//   join-heavy  — WindowJoinOp hash-index probe (an equality key) vs the
+//                 O(window) scanning probe (the same join written without
+//                 an extractable key) at growing window sizes: the hash
+//                 probe must win superlinearly as the window grows (its
+//                 cost tracks matches, the scan's tracks window occupancy);
 //   match-heavy — subscription matching: interpreted Subscription::matches
 //                 vs compiled filters evaluated batch-at-a-time.
 //
@@ -19,6 +20,7 @@
 // Writes BENCH_operator_hotpath.json; scripts/check_bench.py gates the
 // ratios against bench/baselines/.
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -123,61 +125,106 @@ struct JoinResult {
   std::size_t emitted = 0;
 };
 
+/// Order-sensitive digest of every row a join emits (timestamp and values).
+std::uint64_t fold_rows(std::uint64_t h, const runtime::TupleBatch& out) {
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  };
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    mix(static_cast<std::uint64_t>(out.ts(r)));
+    for (std::size_t c = 0; c < out.width(); ++c) {
+      // Every bench column is numeric.
+      mix(std::hash<double>{}(out.at(r, c).as_double()));
+    }
+  }
+  return h;
+}
+
 /// Alternating left/right arrivals, 1 tuple per ms per side, equi key over
 /// `keys` distinct values plus a numeric residual; window spans window_ms
-/// of stream time (≈ window_ms/2 tuples per side buffered).
+/// of stream time (≈ window_ms/2 tuples per side buffered). The hash
+/// column joins on L.k = R.j; the scan column runs the same join written
+/// without an extractable key (L.k >= R.j AND L.k <= R.j), which the
+/// operator can only answer by scanning the window. Each arrival is a
+/// one-row batch, the shape push() drives.
 JoinResult bench_join(std::int64_t window_ms, std::size_t arrivals,
                       std::uint64_t keys) {
   const Schema ls{{{"k", ValueType::kInt}, {"v", ValueType::kDouble}}};
   const Schema rs{{{"j", ValueType::kInt}, {"u", ValueType::kDouble}}};
-  const auto pred = Predicate::conj(
+  const auto residual =
+      Predicate::cmp(FieldRef{"L", "v"}, CmpOp::kGt, FieldRef{"R", "u"});
+  const auto hash_pred = Predicate::conj(
       {Predicate::cmp(FieldRef{"L", "k"}, CmpOp::kEq, FieldRef{"R", "j"}),
-       Predicate::cmp(FieldRef{"L", "v"}, CmpOp::kGt, FieldRef{"R", "u"})});
+       residual});
+  const auto scan_pred = Predicate::conj(
+      {Predicate::cmp(FieldRef{"L", "k"}, CmpOp::kGe, FieldRef{"R", "j"}),
+       Predicate::cmp(FieldRef{"L", "k"}, CmpOp::kLe, FieldRef{"R", "j"}),
+       residual});
 
   struct Arrival {
     bool left;
-    Tuple t;
+    runtime::TupleBatch row;
   };
   Rng rng{11};
   std::vector<Arrival> trace;
   trace.reserve(arrivals);
   for (std::size_t i = 0; i < arrivals; ++i) {
-    trace.push_back({i % 2 == 0,
-                     Tuple{static_cast<Timestamp>(i),
-                           {Value{static_cast<std::int64_t>(
-                                rng.next_below(keys))},
-                            Value{rng.next_double(-1.0, 1.0)}}}});
+    Arrival a{i % 2 == 0, runtime::TupleBatch{i % 2 == 0 ? "L" : "R"}};
+    a.row.push_back(Tuple{static_cast<Timestamp>(i),
+                          {Value{static_cast<std::int64_t>(
+                               rng.next_below(keys))},
+                           Value{rng.next_double(-1.0, 1.0)}}});
+    trace.push_back(std::move(a));
   }
 
+  const auto make_join = [&](const PredicatePtr& pred) {
+    return WindowJoinOp{{"L", &ls, WindowSpec::range_millis(window_ms)},
+                        {"R", &rs, WindowSpec::range_millis(window_ms)},
+                        pred};
+  };
+  const auto push = [](WindowJoinOp& join, const Arrival& a,
+                       runtime::TupleBatch& out) {
+    if (a.left) {
+      join.push_batch_left(a.row, nullptr, /*lift_append_ts=*/false, out);
+    } else {
+      join.push_batch_right(a.row, nullptr, /*lift_append_ts=*/false, out);
+    }
+  };
+
   JoinResult out;
+  std::size_t emitted[2] = {0, 0};
+  std::uint64_t digest[2] = {0, 0};
   for (const bool use_hash : {false, true}) {
-    std::size_t emitted = 0;
-    WindowJoinOp join{{"L", &ls, WindowSpec::range_millis(window_ms)},
-                      {"R", &rs, WindowSpec::range_millis(window_ms)},
-                      pred,
-                      [&emitted](const Tuple&) { ++emitted; },
-                      WindowJoinOp::Options{use_hash}};
+    WindowJoinOp join = make_join(use_hash ? hash_pred : scan_pred);
+    if ((join.equi_key_count() > 0) != use_hash) {
+      std::fprintf(stderr, "!! join probe choice: %zu keys extracted\n",
+                   join.equi_key_count());
+      std::exit(1);
+    }
+    runtime::TupleBatch rows{"out"};
     const double s = cpu_time([&] {
       for (const Arrival& a : trace) {
-        if (a.left) {
-          join.push_left(a.t);
-        } else {
-          join.push_right(a.t);
-        }
+        rows.clear();
+        push(join, a, rows);
+        emitted[use_hash] += rows.size();
       }
     });
-    if (use_hash) {
-      out.hash_s = s;
-      if (emitted != out.emitted) {
-        std::fprintf(stderr, "!! join paths disagree: %zu vs %zu\n", emitted,
-                     out.emitted);
-        std::exit(1);
-      }
-    } else {
-      out.scan_s = s;
-      out.emitted = emitted;
+    (use_hash ? out.hash_s : out.scan_s) = s;
+
+    // Untimed second pass: digest every emitted row, in order.
+    WindowJoinOp check = make_join(use_hash ? hash_pred : scan_pred);
+    for (const Arrival& a : trace) {
+      rows.clear();
+      push(check, a, rows);
+      digest[use_hash] = fold_rows(digest[use_hash], rows);
     }
   }
+  if (emitted[0] != emitted[1] || digest[0] != digest[1]) {
+    std::fprintf(stderr, "!! join probes emit different rows: %zu vs %zu\n",
+                 emitted[0], emitted[1]);
+    std::exit(1);
+  }
+  out.emitted = emitted[0];
   return out;
 }
 

@@ -1,23 +1,14 @@
 #include "coord/hierarchy.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
+#include "common/clock.h"
 #include "coord/diffusion.h"
 
 namespace cosmos::coord {
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-}  // namespace
 
 /// A (possibly coarse) group of queries flowing through the hierarchy.
 /// `parts` holds the one-level-finer constituents (empty for single

@@ -577,16 +577,18 @@ Cosmos::RunReport Cosmos::run(const std::vector<runtime::TraceEvent>& events,
 void Cosmos::push(const std::string& stream, const stream::Tuple& tuple) {
   // Several units at one host may subscribe to the same stream; the host's
   // engine must see the tuple exactly once (plans re-apply their own
-  // filters).
+  // filters). Every fed engine gets the same one-row batch.
+  runtime::TupleBatch row{stream};
+  row.push_back(tuple);
   std::set<NodeId> fed;
   broker_.publish(stream, tuple,
-                  [this, &fed](const pubsub::Subscription& sub,
-                               const pubsub::Message& msg) {
+                  [this, &fed, &row](const pubsub::Subscription& sub,
+                                     const pubsub::Message& msg) {
                     if (p2_owner_.contains(sub.id)) return;
                     if (!fed.insert(sub.subscriber).second) return;
                     auto& engine = engine_at(sub.subscriber);
                     if (engine.has_stream(msg.stream)) {
-                      engine.publish(msg.stream, msg.tuple);
+                      engine.publish_batch(msg.stream, row);
                     }
                   });
 }

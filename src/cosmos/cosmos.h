@@ -67,10 +67,17 @@ class Cosmos {
 
   // --- Ingest modes -------------------------------------------------------
   //
+  // All three modes (push(), run(), run_federated()) execute the same batch
+  // operator chain (query/plan.h); they differ only in how rows reach it.
+  //
   // push() is the synchronous mode: each call matches, routes, executes the
-  // query plans, and delivers results before returning, all on the calling
-  // thread. Simple and exactly ordered — the mode every correctness test
-  // and the paper-figure benches use.
+  // query plans on a one-row batch, and delivers results before returning,
+  // all on the calling thread. Simple and exactly ordered — the mode the
+  // paper-figure benches use, and the baseline the run() and federation
+  // differentials compare against. push() itself is checked against the
+  // naive reference evaluator (tests/support/reference_eval.h), which
+  // evaluates each user query on its own, with no unit merging, no broker
+  // and no shared operator code.
   //
   // run() is the runtime-backed mode: a whole trace is replayed through the
   // sharded execution runtime (src/runtime/). The calling thread becomes

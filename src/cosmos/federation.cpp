@@ -37,8 +37,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
@@ -314,21 +312,13 @@ struct Cosmos::Fed {
     cv.notify_all();
   }
 
-  /// Recovery-lifecycle trace to stderr, gated by COSMOS_FED_DEBUG — the
-  /// first tool to reach for when a chaos run wedges or diverges.
-  static void dbg(const std::string& msg) {
-    if (std::getenv("COSMOS_FED_DEBUG") != nullptr) {
-      std::fprintf(stderr, "[fed] %s\n", msg.c_str());
-    }
-  }
-
   /// A worker's channel died (or a send to it failed). With recovery armed
   /// the worker is queued for respawn; otherwise the session fails sticky.
   void mark_dead(std::size_t i, const std::string& what) {
-    dbg("mark_dead " + std::to_string(i) + ": " + what);
     {
       std::lock_guard lock{mu};
       if (expect_close) return;
+      obs::Tracer::instance().instant("mark_dead", "driver", i);
       if (recovery_armed) {
         if (worker_dead[i] == 0) {
           worker_dead[i] = 1;
@@ -465,7 +455,6 @@ struct Cosmos::Fed {
                          std::chrono::milliseconds(options.liveness.deadline_ms),
                          woken)) {
           lock.unlock();
-          dbg("stalled wait: re-sending");
           on_stall();
           lock.lock();
           continue;
@@ -480,9 +469,7 @@ struct Cosmos::Fed {
         const std::size_t i = dead_pending.front();
         dead_pending.pop_front();
         lock.unlock();
-        dbg("recover begin " + std::to_string(i));
         recover(i);
-        dbg("recover end " + std::to_string(i));
         lock.lock();
         continue;
       }
@@ -546,9 +533,6 @@ struct Cosmos::Fed {
     if (!peer_down_pairs.insert({m.from_worker, m.to_worker}).second) {
       return;  // already fallen back; a re-report changes nothing
     }
-    dbg("peer link " + std::to_string(m.from_worker) + "->" +
-        std::to_string(m.to_worker) + " down (" + m.reason +
-        "): falling back to star routing");
     obs::Tracer::instance().instant("peer_fallback", "driver", m.from_worker);
     ++report.federation.peer_fallbacks;
     replay_entries([&](const DataLogEntry& e) {
@@ -561,8 +545,6 @@ struct Cosmos::Fed {
   /// never arrived (lost on a lossy-but-live link). Replay everything at
   /// or above each starved engine's expected seq.
   void handle_seq_gap(const wire::SeqGapMsg& m) {
-    dbg("seq gap from worker " + std::to_string(m.worker_index) + " (" +
-        std::to_string(m.missing.size()) + " engines): replaying");
     obs::Tracer::instance().instant("seq_gap_replay", "driver",
                                     m.worker_index);
     ++report.federation.seq_gap_replays;
@@ -612,6 +594,13 @@ struct Cosmos::Fed {
       mark_dead(w, e.what());
       return false;
     }
+  }
+
+  /// A stalled wait's re-send (see wait_for) of a request worker `w` has
+  /// not answered, marked in the trace.
+  void resend_stalled(std::size_t w, wire::Frame frame) {
+    obs::Tracer::instance().instant("stall_resend", "driver", w);
+    send_data(w, std::move(frame));
   }
 
   void broadcast(const wire::Frame& frame) {
@@ -694,23 +683,24 @@ struct Cosmos::Fed {
   }
 
   void connect_all() {
-    workers.reserve(options.workers.size());
-    for (std::size_t i = 0; i < options.workers.size(); ++i) {
-      Worker w;
+    const std::size_t n = options.workers.size();
+    workers.resize(n);
+    worker_dead.assign(n, 0);
+    retired.resize(n);
+    // Each channel gets its reader and its kHello as soon as it is dialed.
+    // A channel heartbeats once idle and its watchdog counts silence from
+    // construction, while a daemon drops a connection whose first frame is
+    // not kHello: a worker dialed first must not wait unserved while
+    // slower-starting daemons are still being dialed.
+    for (std::size_t i = 0; i < n; ++i) {
+      Worker& w = workers[i];
       w.endpoint = options.workers[i];
       w.channel = std::make_unique<wire::FrameChannel>(
           wire::connect_to(wire::Endpoint::parse(w.endpoint)),
           channel_options(i));
-      workers.push_back(std::move(w));
-    }
-    worker_dead.assign(workers.size(), 0);
-    retired.resize(workers.size());
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-      workers[i].channel->start_reader(
+      w.channel->start_reader(
           [this, i](wire::Frame f) { on_frame(i, std::move(f)); },
           [this, i](const std::string& err) { on_close(i, err); });
-    }
-    for (std::size_t i = 0; i < workers.size(); ++i) {
       send(i, wire::encode_hello(hello_for(i)));
     }
     std::unique_lock lock{mu};
@@ -727,7 +717,6 @@ struct Cosmos::Fed {
     topo.participants = sys.broker_.participants();
     topo.members = lat.members();
     topo.dense = lat.dense();
-    topo.use_index = true;
     broadcast_logged(wire::encode_topology(topo));
 
     // Result streams stay driver-side: workers host the engines that emit
@@ -979,7 +968,7 @@ struct Cosmos::Fed {
             }
           }
           for (const auto w : missing) {
-            send_data(w, wire::encode_flush({seq, floors_for(w)}));
+            resend_stalled(w, wire::encode_flush({seq, floors_for(w)}));
           }
         });
     flush_acks.erase(seq);
@@ -1139,7 +1128,8 @@ struct Cosmos::Fed {
                 answered = match_responses.contains(pm.request.job);
               }
               if (!answered) {
-                send_data(pm.owner, wire::encode_match_request(pm.request));
+                resend_stalled(pm.owner,
+                               wire::encode_match_request(pm.request));
               }
             }
           });
@@ -1334,7 +1324,6 @@ struct Cosmos::Fed {
     const std::string noded = options.recovery.noded_path.empty()
                                   ? node::default_noded_path()
                                   : options.recovery.noded_path;
-    dbg("respawning " + std::to_string(i));
     // If this worker slot was already respawned once, kill *and reap* the
     // previous driver-owned incarnation before dialing a successor: a dying
     // listener's accept backlog can swallow the re-dial (the connect
@@ -1526,7 +1515,8 @@ struct Cosmos::Fed {
               // Keep-mode kMigrateOut lost to a drop fault: re-request.
               // A duplicate handoff is byte-identical (same flush + seq
               // cut) and insert_or_assign-deduped.
-              send_data(hw, wire::encode_migrate_out({engine, /*keep=*/1}));
+              resend_stalled(hw,
+                             wire::encode_migrate_out({engine, /*keep=*/1}));
             });
         auto node = handoffs.extract(engine.value());
         handed = std::move(node.mapped().first);
@@ -1635,7 +1625,6 @@ struct Cosmos::Fed {
       const std::size_t w = f.worker % workers.size();
       workers[w].channel->set_fault(
           std::make_shared<fault::LinkFault>(fault::FaultPlan::parse(f.plan)));
-      dbg("fault installed on worker " + std::to_string(w) + ": " + f.plan);
       obs::Tracer::instance().instant("fault_injected", "driver", w);
       ++report.federation.faults_injected;
       ++next_fault;
@@ -1806,7 +1795,7 @@ struct Cosmos::Fed {
               }
             }
             for (const auto w : missing) {
-              send_data(w, wire::encode_traffic_request());
+              resend_stalled(w, wire::encode_traffic_request());
             }
           });
       for (const auto& [w, t] : traffic_reports) {

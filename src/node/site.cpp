@@ -171,8 +171,8 @@ bool Site::handle_locked(const Frame& frame, std::vector<Frame>& out,
       if (gate_.empty() && floors_met(m.floors)) {
         apply_watermark(m, out);
       } else {
-        gate_.push_back({Gated::Kind::kWatermark, std::move(m), {},
-                         std::chrono::steady_clock::now()});
+        gate_.push_back(
+            {Gated::Kind::kWatermark, std::move(m), {}, Clock::now()});
         check_gate_starvation(out);
       }
       break;
@@ -182,8 +182,7 @@ bool Site::handle_locked(const Frame& frame, std::vector<Frame>& out,
       if (gate_.empty() && floors_met(m.floors)) {
         apply_flush(m, out);
       } else {
-        gate_.push_back({Gated::Kind::kFlush, {}, std::move(m),
-                         std::chrono::steady_clock::now()});
+        gate_.push_back({Gated::Kind::kFlush, {}, std::move(m), Clock::now()});
         check_gate_starvation(out);
       }
       break;
@@ -331,9 +330,8 @@ void Site::pump_gate(std::vector<Frame>& out) {
 
 void Site::check_gate_starvation(std::vector<Frame>& out) {
   if (gate_.empty() || hello_.liveness_deadline_ms <= 0) return;
-  const auto now = std::chrono::steady_clock::now();
-  const auto deadline =
-      std::chrono::milliseconds(hello_.liveness_deadline_ms);
+  const auto now = Clock::now();
+  const auto deadline = DurationMs(hello_.liveness_deadline_ms);
   const auto& front = gate_.front();
   if (now - front.since < deadline) return;
   if (last_gap_emit_.time_since_epoch().count() != 0 &&
@@ -398,8 +396,7 @@ void Site::apply_flush(const wire::FlushMsg& m, std::vector<Frame>& out) {
 void Site::on_topology(const wire::TopologyMsg& m) {
   if (broker_) throw wire::Error{"node: duplicate kTopology"};
   lat_ = net::LatencyMatrix{m.members, m.dense};
-  broker_.emplace(m.participants, lat_,
-                  pubsub::BrokerNetwork::Options{m.use_index});
+  broker_.emplace(m.participants, lat_);
 }
 
 void Site::on_deploy(wire::DeployUnitMsg m) {

@@ -36,7 +36,6 @@
 // per-engine result order is preserved on the (FIFO) driver channel.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -49,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/clock.h"
 #include "net/latency_matrix.h"
 #include "pubsub/broker_network.h"
 #include "query/plan.h"
@@ -156,7 +156,7 @@ class Site {
     /// session's liveness deadline means its floored executes were lost on
     /// a live-but-lossy path, and the site reports the gap (kSeqGap)
     /// instead of waiting forever.
-    std::chrono::steady_clock::time_point since{};
+    TimePoint since{};
   };
   /// A peer shipment decided under the mutex, sent after it is released.
   struct PeerShip {
@@ -245,7 +245,7 @@ class Site {
   /// Last kSeqGap emission (epoch = never): the starvation report repeats
   /// at most once per liveness deadline, so a slow driver replay is not
   /// answered with a flood of duplicate gap reports.
-  std::chrono::steady_clock::time_point last_gap_emit_{};
+  TimePoint last_gap_emit_{};
   EmitFn emit_;
   ShipFn ship_;
   PeerTrafficFn peer_traffic_;

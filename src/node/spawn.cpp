@@ -1,7 +1,6 @@
 #include "node/spawn.h"
 
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <stdexcept>
 #include <thread>
@@ -9,6 +8,8 @@
 
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "common/clock.h"
 
 namespace cosmos::node {
 
@@ -68,11 +69,10 @@ std::optional<int> NodeProcess::poll() {
 int NodeProcess::terminate(int grace_ms) {
   if (waited_ || pid_ <= 0) return exit_code_;
   ::kill(pid_, SIGTERM);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(grace_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
+  const auto deadline = Clock::now() + DurationMs(grace_ms);
+  while (Clock::now() < deadline) {
     if (auto code = poll()) return *code;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(DurationMs(5));
   }
   kill();  // grace expired: SIGKILL reaps promptly
   return exit_code_;

@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "common/clock.h"
 #include "query/containment.h"
 
 namespace cosmos::opplace {
@@ -74,7 +75,7 @@ OperatorPlacementSystem::OperatorPlacementSystem(
 
 void OperatorPlacementSystem::deploy(std::span<const query::QuerySpec> queries,
                                      Rng& rng) {
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
 
   // ---- Phase 1: global operator graph with shared selections ----
   struct PerQuery {
@@ -193,9 +194,7 @@ void OperatorPlacementSystem::deploy(std::span<const query::QuerySpec> queries,
     }
     if (!changed) break;
   }
-  stats_.optimize_seconds = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
+  stats_.optimize_seconds = seconds_since(start);
 
   // ---- Instantiate plans and consumer lists ----
   for (std::size_t i = 0; i < per_query.size(); ++i) {

@@ -5,7 +5,6 @@
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace cosmos::query {
 namespace {
@@ -83,25 +82,25 @@ std::optional<std::vector<PredicatePtr>> conjuncts_of(const QuerySpec& q) {
   return out;
 }
 
-/// Alias map from b's aliases to a's, matching sources by stream name.
-/// Requires each stream to appear at most once per query; nullopt otherwise
-/// or when the stream sets differ.
+/// Alias map from b's aliases to a's, matching sources by stream name. A
+/// stream read by several aliases (a self-join) pairs its aliases in source
+/// order, so the left alias stays left: a row reaches a self-join's left
+/// side before its right side, and a merge must not swap the two. nullopt
+/// when the two queries do not read the same streams equally often.
 std::optional<std::unordered_map<std::string, std::string>> alias_map_b_to_a(
     const QuerySpec& a, const QuerySpec& b) {
   if (a.sources.size() != b.sources.size()) return std::nullopt;
-  std::unordered_map<std::string, std::string> stream_to_a_alias;
-  for (const auto& s : a.sources) {
-    if (!stream_to_a_alias.emplace(s.stream, s.alias).second) {
-      return std::nullopt;  // repeated stream (self-join): out of scope
-    }
-  }
   std::unordered_map<std::string, std::string> map;
-  std::unordered_set<std::string> b_streams;
+  std::vector<bool> taken(a.sources.size(), false);
   for (const auto& s : b.sources) {
-    if (!b_streams.insert(s.stream).second) return std::nullopt;
-    const auto it = stream_to_a_alias.find(s.stream);
-    if (it == stream_to_a_alias.end()) return std::nullopt;
-    map.emplace(s.alias, it->second);
+    std::size_t j = 0;
+    while (j < a.sources.size() &&
+           (taken[j] || a.sources[j].stream != s.stream)) {
+      ++j;
+    }
+    if (j == a.sources.size()) return std::nullopt;
+    taken[j] = true;
+    map.emplace(s.alias, a.sources[j].alias);
   }
   return map;
 }
@@ -303,7 +302,7 @@ std::optional<MergedQuery> merge_queries(const QuerySpec& a,
   for (const auto& sa : a.sources) {
     const auto* sb = [&]() -> const SourceRef* {
       for (const auto& s : b.sources) {
-        if (s.stream == sa.stream) return &s;
+        if (map->at(s.alias) == sa.alias) return &s;
       }
       return nullptr;
     }();

@@ -104,12 +104,6 @@ Schema lift_schema(const Schema& raw, const std::string& alias,
   return Schema{std::move(fields)};
 }
 
-Tuple lift_tuple(const Tuple& raw, bool has_ts_column) {
-  Tuple out = raw;
-  if (!has_ts_column) out.values.emplace_back(raw.ts);
-  return out;
-}
-
 }  // namespace
 
 struct CompiledQuery::Stage {
@@ -117,14 +111,14 @@ struct CompiledQuery::Stage {
   std::unique_ptr<stream::WindowJoinOp> join;
   std::unique_ptr<stream::ProjectOp> project;
   Schema schema;  // output schema of the stage (stable address for Bindings)
-  // Batch-chain scratch. Engines execute single-threaded (pinned to one
-  // runtime shard), and the chain is acyclic, so per-stage reuse is safe.
+  // Chain scratch. Engines execute single-threaded (pinned to one runtime
+  // shard), and the chain is acyclic, so per-stage reuse is safe.
   runtime::TupleBatch batch_scratch;       ///< join/project output rows
   std::vector<std::uint32_t> sel_scratch;  ///< filter selection output
 };
 
 namespace {
-/// One batch-chain hop: a batch plus the selected rows (nullptr = all).
+/// One chain hop: a batch plus the selected rows (nullptr = all).
 using BatchSink =
     std::function<void(const runtime::TupleBatch&,
                        const std::vector<std::uint32_t>*)>;
@@ -227,30 +221,33 @@ CompiledQuery::CompiledQuery(stream::Engine& engine, const QuerySpec& spec,
   result_schema_ = Schema{std::move(result_fields)};
   engine_.register_stream(result_stream_, result_schema_);
 
-  // Single-source plans run their batch chain directly over raw source
-  // batches; the appended "<alias>.timestamp" column (when the raw schema
-  // lacks one) is then virtual — operators read it from the row timestamp.
-  const bool single_source = spec.sources.size() == 1;
-  bool source0_has_ts = false;
-  if (single_source) {
-    (void)lift_schema(engine_.schema(spec.sources[0].stream),
-                      spec.sources[0].alias, source0_has_ts);
+  // Per-source entry chains (filter -> join side) take *raw* source
+  // batches plus a selection.
+  struct SourceEntry {
+    Schema lifted;
+    bool has_ts = false;
+    BatchSink entry;
+  };
+  std::vector<SourceEntry> entries(spec.sources.size());
+  for (std::size_t i = 0; i < spec.sources.size(); ++i) {
+    entries[i].lifted = lift_schema(engine_.schema(spec.sources[i].stream),
+                                    spec.sources[i].alias, entries[i].has_ts);
   }
+
+  // Single-source plans run their chain directly over raw source batches;
+  // the appended "<alias>.timestamp" column (when the raw schema lacks one)
+  // is then virtual — operators read it from the row timestamp.
   const std::size_t post_join_virtual_ts =
-      single_source && !source0_has_ts ? full_schema.size() - 1 : SIZE_MAX;
+      spec.sources.size() == 1 && !entries[0].has_ts ? full_schema.size() - 1
+                                                     : SIZE_MAX;
 
   auto& project_stage = *stages_.emplace_back(std::make_unique<Stage>());
   project_stage.batch_scratch = runtime::TupleBatch{result_stream_};
-  project_stage.project = std::make_unique<stream::ProjectOp>(
-      keep,
-      [this](const Tuple& t) {
-        ++emitted_;
-        engine_.publish(result_stream_, t);
-      },
-      post_join_virtual_ts);
-  // One batch-chain hop through a stage's FilterOp: refine the selection
-  // in the stage scratch and forward survivors (shared by the residual
-  // and per-alias filter wiring below).
+  project_stage.project =
+      std::make_unique<stream::ProjectOp>(keep, post_join_virtual_ts);
+  // One hop through a stage's FilterOp: refine the selection in the stage
+  // scratch and forward survivors (shared by the residual and per-alias
+  // filter wiring below).
   const auto make_filter_hop = [](Stage* stp, BatchSink down) {
     return [stp, down = std::move(down)](
                const runtime::TupleBatch& b,
@@ -262,17 +259,15 @@ CompiledQuery::CompiledQuery(stream::Engine& engine, const QuerySpec& spec,
     };
   };
 
-  stream::Sink after_joins = [op = project_stage.project.get()](
-                                 const Tuple& t) { op->push(t); };
-  BatchSink after_joins_batch =
-      [this, ps = &project_stage](const runtime::TupleBatch& b,
-                                  const std::vector<std::uint32_t>* sel) {
-        ps->batch_scratch.clear();
-        ps->project->push_batch(b, sel, ps->batch_scratch);
-        if (ps->batch_scratch.empty()) return;
-        emitted_ += ps->batch_scratch.size();
-        engine_.publish_batch(result_stream_, ps->batch_scratch);
-      };
+  BatchSink after_joins = [this, ps = &project_stage](
+                              const runtime::TupleBatch& b,
+                              const std::vector<std::uint32_t>* sel) {
+    ps->batch_scratch.clear();
+    ps->project->push_batch(b, sel, ps->batch_scratch);
+    if (ps->batch_scratch.empty()) return;
+    emitted_ += ps->batch_scratch.size();
+    engine_.publish_batch(result_stream_, ps->batch_scratch);
+  };
 
   if (!residual.empty()) {
     std::vector<PredicatePtr> flat;
@@ -281,43 +276,19 @@ CompiledQuery::CompiledQuery(stream::Engine& engine, const QuerySpec& spec,
     st.schema = full_schema;
     st.filter = std::make_unique<stream::FilterOp>(
         "", &st.schema, Predicate::conj(std::move(flat)),
-        std::move(after_joins), post_join_virtual_ts);
-    after_joins = [op = st.filter.get()](const Tuple& t) { op->push(t); };
-    after_joins_batch = make_filter_hop(&st, std::move(after_joins_batch));
+        post_join_virtual_ts);
+    after_joins = make_filter_hop(&st, std::move(after_joins));
   }
 
-  // Per-source entry pipelines (lift -> filter) feeding the join cascade.
-  struct SourceEntry {
-    Schema lifted;
-    bool has_ts = false;
-    stream::Sink entry;     // receives *lifted* tuples (scalar chain)
-    BatchSink batch_entry;  // receives *raw* source batches + selection
-  };
-  std::vector<SourceEntry> entries(spec.sources.size());
-
   if (spec.sources.size() == 1) {
-    // No join: source filter feeds the residual/projection directly (the
-    // batch chain reads the appended timestamp column virtually).
-    auto& e = entries[0];
-    e.lifted = lift_schema(engine_.schema(spec.sources[0].stream),
-                           spec.sources[0].alias, e.has_ts);
-    e.entry = after_joins;
-    e.batch_entry = after_joins_batch;
+    // No join: the source filter feeds the residual/projection directly,
+    // reading the appended timestamp column virtually.
+    entries[0].entry = after_joins;
   } else {
     // Left-deep cascade: acc = src0 ⋈ src1 ⋈ ... Window of the accumulated
     // side is the widest of its constituents (exact for 2-way; residual
     // bands fix 3+-way).
     std::vector<Schema> acc_schema(spec.sources.size());
-    for (std::size_t i = 0; i < spec.sources.size(); ++i) {
-      bool has_ts = false;
-      entries[i].lifted = lift_schema(engine_.schema(spec.sources[i].stream),
-                                      spec.sources[i].alias, has_ts);
-      entries[i].has_ts = has_ts;
-      acc_schema[i] = i == 0 ? entries[0].lifted
-                             : Schema::join(acc_schema[i - 1], "",
-                                            entries[i].lifted, "");
-    }
-    // Schema::join with empty aliases would prefix "."; build manually.
     acc_schema[0] = entries[0].lifted;
     for (std::size_t i = 1; i < spec.sources.size(); ++i) {
       std::vector<stream::Field> fs = acc_schema[i - 1].fields();
@@ -325,17 +296,16 @@ CompiledQuery::CompiledQuery(stream::Engine& engine, const QuerySpec& spec,
       acc_schema[i] = Schema{std::move(fs)};
     }
 
-    std::unordered_set<std::string> acc_aliases{spec.sources[0].alias};
-    stream::Sink downstream = std::move(after_joins);
-    BatchSink downstream_batch = std::move(after_joins_batch);
-    // Build joins from the last to the first so each join's sink exists.
+    BatchSink downstream = std::move(after_joins);
+    // Build joins from the last to the first so each join's downstream
+    // chain exists.
     std::vector<stream::WindowJoinOp*> join_ops(spec.sources.size(), nullptr);
     std::vector<Stage*> join_stage(spec.sources.size(), nullptr);
     // Chain after each join — where its output batches go (shared by the
     // join's left feed and its source's right feed).
     std::vector<BatchSink> join_down(spec.sources.size());
-    // One batch-chain hop feeding a join side: collect the join's output
-    // rows into the stage scratch, forward non-empty results downstream.
+    // One hop feeding a join side: collect the join's output rows into the
+    // stage scratch, forward non-empty results downstream.
     const auto make_feed = [](stream::WindowJoinOp* op, Stage* stp,
                               BatchSink down, bool is_left, bool lift_ts) {
       return [op, stp, down = std::move(down), is_left, lift_ts](
@@ -387,73 +357,69 @@ CompiledQuery::CompiledQuery(stream::Engine& engine, const QuerySpec& spec,
           stream::WindowJoinOp::Side{"", &st.schema, acc_window},
           stream::WindowJoinOp::Side{"", &st_r.schema,
                                      spec.sources[i].window},
-          Predicate::conj(std::move(join_preds)), std::move(downstream));
+          Predicate::conj(std::move(join_preds)));
       join_ops[i] = st.join.get();
       join_stage[i] = &st;
-      join_down[i] = downstream_batch;
-      downstream = [op = st.join.get()](const Tuple& t) { op->push_left(t); };
+      join_down[i] = downstream;
       // Interior left feeds carry join-output batches, which are already
       // physically lifted; only the raw source feeds lift.
-      downstream_batch = make_feed(st.join.get(), &st,
-                                   std::move(downstream_batch),
-                                   /*is_left=*/true, /*lift_ts=*/false);
+      downstream = make_feed(st.join.get(), &st, std::move(downstream),
+                             /*is_left=*/true, /*lift_ts=*/false);
       if (i == 1) break;  // size_t underflow guard
     }
-    entries[0].entry = std::move(downstream);
-    entries[0].batch_entry =
+    entries[0].entry =
         make_feed(join_ops[1], join_stage[1], join_down[1],
                   /*is_left=*/true, /*lift_ts=*/!entries[0].has_ts);
     for (std::size_t i = 1; i < spec.sources.size(); ++i) {
-      entries[i].entry = [op = join_ops[i]](const Tuple& t) {
-        op->push_right(t);
-      };
-      entries[i].batch_entry =
+      entries[i].entry =
           make_feed(join_ops[i], join_stage[i], join_down[i],
                     /*is_left=*/false, /*lift_ts=*/!entries[i].has_ts);
     }
   }
 
-  // A self-join (two sources on one stream) needs per-row interleaving of
-  // the two taps, which batch-at-a-time delivery would reorder: such plans
-  // keep scalar taps only.
-  bool self_join = false;
-  for (std::size_t i = 0; i < spec.sources.size() && !self_join; ++i) {
-    for (std::size_t j = i + 1; j < spec.sources.size(); ++j) {
-      if (spec.sources[i].stream == spec.sources[j].stream) self_join = true;
-    }
-  }
-
-  // Attach source taps: engine tuple -> lift -> per-alias filter -> entry
-  // (the batch leg filters raw batches first and lifts only survivors).
+  // Per-alias filters run first, over the raw batch (the lift happens only
+  // for survivors, inside the join).
+  std::vector<std::string> streams;  // distinct input streams, source order
+  std::unordered_map<std::string, std::vector<BatchSink>> feeds;
   for (std::size_t i = 0; i < spec.sources.size(); ++i) {
     const auto& src = spec.sources[i];
-    stream::Sink into = entries[i].entry;
-    BatchSink into_batch = entries[i].batch_entry;
+    BatchSink into = std::move(entries[i].entry);
     if (const auto it = per_alias.find(src.alias); it != per_alias.end()) {
       std::vector<PredicatePtr> flat;
       for (const auto& p : it->second) flat.push_back(flatten_predicate(p));
       auto& st = *stages_.emplace_back(std::make_unique<Stage>());
       st.schema = entries[i].lifted;
       st.filter = std::make_unique<stream::FilterOp>(
-          "", &st.schema, Predicate::conj(std::move(flat)), std::move(into),
+          "", &st.schema, Predicate::conj(std::move(flat)),
           entries[i].has_ts ? SIZE_MAX : entries[i].lifted.size() - 1);
-      into = [op = st.filter.get()](const Tuple& t) { op->push(t); };
-      into_batch = make_filter_hop(&st, std::move(into_batch));
+      into = make_filter_hop(&st, std::move(into));
     }
-    const bool has_ts = entries[i].has_ts;
-    stream::Engine::Tap scalar = [into = std::move(into),
-                                  has_ts](const Tuple& t) {
-      into(lift_tuple(t, has_ts));
-    };
-    const std::size_t tap =
-        self_join
-            ? engine_.attach(src.stream, std::move(scalar))
-            : engine_.attach(
-                  src.stream,
-                  [into_batch = std::move(into_batch)](
-                      const runtime::TupleBatch& b) { into_batch(b, nullptr); },
-                  std::move(scalar));
-    taps_.emplace_back(src.stream, tap);
+    auto& list = feeds[src.stream];
+    if (list.empty()) streams.push_back(src.stream);
+    list.push_back(std::move(into));
+  }
+
+  // One batch tap per input stream. A stream feeding several aliases (a
+  // self-join) hands each row to each of them in source order, as a
+  // one-row selection: the left side has seen a row before the right side
+  // probes with it, whatever the batch size.
+  for (const auto& name : streams) {
+    std::vector<BatchSink> list = std::move(feeds.at(name));
+    stream::Engine::BatchTap tap;
+    if (list.size() == 1) {
+      tap = [feed = std::move(list.front())](const runtime::TupleBatch& b) {
+        feed(b, nullptr);
+      };
+    } else {
+      tap = [list = std::move(list)](const runtime::TupleBatch& b) {
+        std::vector<std::uint32_t> row(1);
+        for (std::uint32_t r = 0; r < b.size(); ++r) {
+          row[0] = r;
+          for (const auto& feed : list) feed(b, &row);
+        }
+      };
+    }
+    taps_.emplace_back(name, engine_.attach(name, std::move(tap)));
   }
 }
 

@@ -8,19 +8,22 @@
 // (including per-source timestamps, which result splitting needs).
 //
 // Every predicate is compiled to a column-slot program at build time
-// (stream/compiled_predicate.h), and each plan is wired twice over the
-// same operator objects and window state:
-//  - the scalar chain (engine scalar taps -> per-row Sinks), driving
-//    push() mode;
-//  - the batch chain (engine batch taps): per-source filters evaluate
-//    compiled predicates straight over the raw TupleBatch (the appended
-//    "<alias>.timestamp" column is virtual — read from the row timestamp),
-//    selection vectors flow between stages, join probes use per-side hash
-//    indexes on extracted equality columns, and tuples are only
-//    materialized entering join state or the published result batch.
-// A query whose sources share one stream keeps scalar taps only: with two
-// taps on one stream, batch-at-a-time delivery would reorder the per-row
-// left/right interleaving a self-join depends on.
+// (stream/compiled_predicate.h), and each plan is wired once, as a batch
+// chain that every execution mode drives (push() with one-row batches,
+// run() and the federation workers with driver chunks): per-source filters
+// evaluate compiled predicates straight over the raw TupleBatch (the
+// appended "<alias>.timestamp" column is virtual — read from the row
+// timestamp), selection vectors flow between stages, join probes use
+// per-side hash indexes when the predicate has equality keys, and tuples
+// are only materialized entering join state or the published result batch.
+// Each input stream gets one engine tap. A stream feeding several aliases
+// (a self-join) hands each row to each alias in source order as a one-row
+// selection, so the left side holds a row before the right side probes
+// with it, at any batch size.
+//
+// The oracle for plans is the naive reference evaluator in
+// tests/support/reference_eval.h, which evaluates each query on its own
+// with interpreted predicates and a nested-loop join.
 #pragma once
 
 #include <deque>

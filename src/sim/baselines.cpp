@@ -1,6 +1,6 @@
 #include "sim/baselines.h"
 
-#include <chrono>
+#include "common/clock.h"
 
 namespace cosmos::sim {
 
@@ -27,7 +27,7 @@ CentralizedResult centralized_placement(
     const net::Deployment& deployment, const query::SubstreamSpace& space,
     const graph::MappingParams& mapping,
     const graph::QueryGraphBuildParams& build, bool refine, Rng& rng) {
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
 
   graph::EdgeModel model{space};
   std::vector<graph::QueryVertex> items;
@@ -73,9 +73,7 @@ CentralizedResult centralized_placement(
     out.placement.emplace(profiles[i].query,
                           ng.vertex(result.assignment[i]).node);
   }
-  out.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
+  out.seconds = seconds_since(start);
   return out;
 }
 

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "runtime/tuple_batch.h"
-
 namespace cosmos::stream {
 namespace {
 
@@ -43,23 +41,23 @@ Engine::StreamState& Engine::state(const std::string& name) {
   return it->second;
 }
 
-std::size_t Engine::attach(const std::string& name, Tap tap) {
+std::size_t Engine::attach(const std::string& name, BatchTap tap) {
   if (!tap) throw std::invalid_argument{"Engine: null tap"};
   auto& st = state(name);
   const std::size_t id = st.next_tap_id++;
-  st.taps.push_back({id, std::move(tap), nullptr});
+  st.taps.push_back({id, std::move(tap)});
   return id;
 }
 
-std::size_t Engine::attach(const std::string& name, BatchTap batch,
-                           Tap scalar) {
-  if (!batch || !scalar) {
-    throw std::invalid_argument{"Engine: null batch/scalar tap"};
-  }
-  auto& st = state(name);
-  const std::size_t id = st.next_tap_id++;
-  st.taps.push_back({id, std::move(scalar), std::move(batch)});
-  return id;
+std::size_t Engine::attach(const std::string& name, Tap tap) {
+  if (!tap) throw std::invalid_argument{"Engine: null tap"};
+  return attach(name, [tap = std::move(tap)](const runtime::TupleBatch& b) {
+    Tuple row;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b.materialize(i, row);
+      tap(row);
+    }
+  });
 }
 
 void Engine::detach(const std::string& name, std::size_t tap_id) {
@@ -68,14 +66,9 @@ void Engine::detach(const std::string& name, std::size_t tap_id) {
 }
 
 void Engine::publish(const std::string& name, const Tuple& t) {
-  auto& st = state(name);
-  if (t.ts < st.last_ts) throw_out_of_order(name, t.ts, st.last_ts);
-  st.last_ts = t.ts;
-  ++st.published;
-  // Copy the tap list: a tap may attach/detach while we iterate (a query
-  // result published downstream may register new consumers).
-  const auto taps = st.taps;
-  for (const auto& e : taps) e.scalar(t);
+  runtime::TupleBatch row{name};
+  row.push_back(t);
+  publish_batch(name, row);
 }
 
 void Engine::publish_batch(const std::string& name,
@@ -97,26 +90,10 @@ void Engine::publish_batch(const std::string& name,
   }
   st.last_ts = batch.last_ts();
   st.published += batch.size();
-  // One tap-list snapshot per batch (vs. per tuple on the scalar path).
+  // Copy the tap list: a tap may attach/detach while we iterate (a query
+  // result published downstream may register new consumers).
   const auto taps = st.taps;
-  // Batch-aware taps take the whole batch with zero materialization; rows
-  // are only materialized if a scalar-only tap remains.
-  bool any_scalar_only = false;
-  for (const auto& e : taps) {
-    if (e.batch) {
-      e.batch(batch);
-    } else {
-      any_scalar_only = true;
-    }
-  }
-  if (!any_scalar_only) return;
-  Tuple scratch;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch.materialize(i, scratch);
-    for (const auto& e : taps) {
-      if (!e.batch) e.scalar(scratch);
-    }
-  }
+  for (const auto& e : taps) e.tap(batch);
 }
 
 std::size_t Engine::published_count(const std::string& name) const {

@@ -1,6 +1,11 @@
 // In-process stream engine: a registry of named streams with schemas and a
-// tuple bus. Query plans (built in src/query) subscribe taps to input
-// streams and publish result tuples to derived streams.
+// batch bus. Query plans (built in src/query) attach batch taps to their
+// input streams and publish result batches on derived streams.
+//
+// Delivery is batch-only: every tap receives whole runtime::TupleBatches.
+// publish() is a one-row wrapper over publish_batch(), and row observers
+// (result consumers, tests, examples) attach through a thin adapter that
+// walks each batch's rows, so there is a single delivery loop.
 //
 // This is the stand-in for the GSN engine the paper deploys on PlanetLab.
 #pragma once
@@ -10,19 +15,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "runtime/tuple_batch.h"
 #include "stream/schema.h"
-
-namespace cosmos::runtime {
-class TupleBatch;
-}
 
 namespace cosmos::stream {
 
 class Engine {
  public:
-  using Tap = std::function<void(const Tuple&)>;
-  /// Batch-aware consumer: receives a whole TupleBatch at once.
+  /// Batch consumer: receives each published batch whole.
   using BatchTap = std::function<void(const runtime::TupleBatch&)>;
+  /// Row observer: sees each published row in order.
+  using Tap = std::function<void(const Tuple&)>;
 
   /// Registers a stream; throws std::invalid_argument on duplicate name.
   void register_stream(const std::string& name, Schema schema);
@@ -33,32 +36,29 @@ class Engine {
   /// Throws std::out_of_range for unknown streams.
   [[nodiscard]] const Schema& schema(const std::string& name) const;
 
-  /// Attaches a consumer to a stream; returns a tap id usable in detach().
+  /// Attaches a batch consumer to a stream; returns a tap id usable in
+  /// detach(). Throws std::invalid_argument on a null tap.
+  std::size_t attach(const std::string& name, BatchTap tap);
+  /// Row-observer adapter over attach(BatchTap): `tap` sees the rows of
+  /// each batch materialized one by one, in batch order.
   std::size_t attach(const std::string& name, Tap tap);
-  /// Attaches a dual-mode consumer under one tap id: publish() feeds
-  /// `scalar` per tuple, publish_batch() feeds `batch` once per batch with
-  /// no per-row materialization — the batch-at-a-time operator pipelines
-  /// of query plans enter here. Both callbacks must be non-null.
-  std::size_t attach(const std::string& name, BatchTap batch, Tap scalar);
   void detach(const std::string& name, std::size_t tap_id);
 
-  /// Pushes a tuple to every tap of the stream. Ordering is per-stream:
-  /// tuples on one stream must arrive in non-decreasing timestamp order
-  /// (window semantics depend on it), and violations throw
+  /// Publishes one tuple: publish_batch() of a one-row batch.
+  void publish(const std::string& name, const Tuple& t);
+
+  /// Publishes every row of `batch` (whose stream name must equal `name`)
+  /// with one stream lookup, one ordering check against the previous
+  /// publish, and one tap-list snapshot for the whole batch — so a tap
+  /// attached mid-batch first sees the next batch. Each tap, in attach
+  /// order, receives the whole batch.
+  ///
+  /// Ordering is per-stream: rows on one stream must arrive in
+  /// non-decreasing timestamp order, within the batch and across
+  /// publishes (window semantics depend on it); violations throw
   /// std::invalid_argument naming the stream and both timestamps. Streams
   /// are independent — equal or interleaved timestamps across different
   /// streams never throw.
-  void publish(const std::string& name, const Tuple& t);
-
-  /// Batched fast path: publishes every row of `batch` (whose stream name
-  /// must equal `name`) with one stream lookup, one ordering check against
-  /// the previous publish, and one tap-list snapshot for the whole batch —
-  /// so a tap attached mid-batch first sees the next batch. Rows must be
-  /// timestamp-ordered within the batch (per-stream rule above).
-  /// Batch-aware taps each receive the whole batch (in attach order,
-  /// before any scalar tap); scalar taps then see the rows materialized
-  /// one by one. Each tap still observes its rows in batch order, so
-  /// per-consumer sequences are identical to size() publish() calls.
   void publish_batch(const std::string& name,
                      const runtime::TupleBatch& batch);
 
@@ -68,8 +68,7 @@ class Engine {
  private:
   struct TapEntry {
     std::size_t id = 0;
-    Tap scalar;     ///< always present
-    BatchTap batch; ///< null for scalar-only taps
+    BatchTap tap;
   };
   struct StreamState {
     Schema schema;

@@ -1,5 +1,6 @@
 #include "stream/operators.h"
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
 
@@ -21,25 +22,12 @@ const Value& slot_value(const Tuple& t, const FieldSlot& s, Value& scratch) {
 }  // namespace
 
 FilterOp::FilterOp(std::string alias, const Schema* schema,
-                   PredicatePtr predicate, Sink sink,
-                   std::size_t virtual_ts_col)
-    : alias_(std::move(alias)),
-      schema_(schema),
-      predicate_(std::move(predicate)),
-      sink_(std::move(sink)) {
-  if (schema_ == nullptr || predicate_ == nullptr || !sink_) {
-    throw std::invalid_argument{"FilterOp: null schema/predicate/sink"};
+                   const PredicatePtr& predicate, std::size_t virtual_ts_col) {
+  if (schema == nullptr || predicate == nullptr) {
+    throw std::invalid_argument{"FilterOp: null schema/predicate"};
   }
   compiled_ = CompiledPredicate::compile(
-      predicate_, {{alias_, schema_, virtual_ts_col}});
-}
-
-void FilterOp::push(const Tuple& t) {
-  ++seen_;
-  if (compiled_.eval(t)) {
-    ++passed_;
-    sink_(t);
-  }
+      predicate, {{std::move(alias), schema, virtual_ts_col}});
 }
 
 void FilterOp::push_batch(const runtime::TupleBatch& batch,
@@ -51,21 +39,9 @@ void FilterOp::push_batch(const runtime::TupleBatch& batch,
   passed_ += out.size() - before;
 }
 
-ProjectOp::ProjectOp(std::vector<std::size_t> keep_indices, Sink sink,
+ProjectOp::ProjectOp(std::vector<std::size_t> keep_indices,
                      std::size_t virtual_ts_col)
-    : keep_(std::move(keep_indices)),
-      sink_(std::move(sink)),
-      virtual_ts_col_(virtual_ts_col) {
-  if (!sink_) throw std::invalid_argument{"ProjectOp: null sink"};
-}
-
-void ProjectOp::push(const Tuple& t) {
-  Tuple out;
-  out.ts = t.ts;
-  out.values.reserve(keep_.size());
-  for (const std::size_t i : keep_) out.values.push_back(t.at(i));
-  sink_(out);
-}
+    : keep_(std::move(keep_indices)), virtual_ts_col_(virtual_ts_col) {}
 
 void ProjectOp::push_batch(const runtime::TupleBatch& batch,
                            const std::vector<std::uint32_t>* sel,
@@ -102,20 +78,11 @@ void ProjectOp::push_batch(const runtime::TupleBatch& batch,
   }
 }
 
-WindowJoinOp::WindowJoinOp(Side left, Side right, PredicatePtr predicate,
-                           Sink sink)
-    : WindowJoinOp(std::move(left), std::move(right), std::move(predicate),
-                   std::move(sink), Options{}) {}
-
-WindowJoinOp::WindowJoinOp(Side left, Side right, PredicatePtr predicate,
-                           Sink sink, Options options)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      predicate_(std::move(predicate)),
-      sink_(std::move(sink)),
-      options_(options) {
+WindowJoinOp::WindowJoinOp(Side left, Side right,
+                           const PredicatePtr& predicate)
+    : left_(std::move(left)), right_(std::move(right)) {
   if (left_.schema == nullptr || right_.schema == nullptr ||
-      predicate_ == nullptr || !sink_) {
+      predicate == nullptr) {
     throw std::invalid_argument{"WindowJoinOp: null argument"};
   }
   // Compile-time plan: resolve every field, split out hash-joinable
@@ -126,21 +93,12 @@ WindowJoinOp::WindowJoinOp(Side left, Side right, PredicatePtr predicate,
                                     {right_.alias, right_.schema, SIZE_MAX}};
   const std::vector<BindingSpec> rl{{right_.alias, right_.schema, SIZE_MAX},
                                     {left_.alias, left_.schema, SIZE_MAX}};
-  JoinSplit split = split_equi_conjuncts(predicate_, lr);
-  full_left_in_ = CompiledPredicate::compile(predicate_, lr);
-  full_right_in_ = CompiledPredicate::compile(predicate_, rl);
+  // Extracted keys resolved by construction, and every other conjunct stays
+  // in the residual, so compiling the residual rejects unresolvable fields.
+  JoinSplit split = split_equi_conjuncts(predicate, lr);
   residual_left_in_ = CompiledPredicate::compile(split.residual, lr);
   residual_right_in_ = CompiledPredicate::compile(split.residual, rl);
   keys_ = std::move(split.keys);
-  hash_enabled_ = options_.use_hash_index && !keys_.empty();
-}
-
-void WindowJoinOp::push_left(const Tuple& t) {
-  push_one(t, /*is_left=*/true, nullptr);
-}
-
-void WindowJoinOp::push_right(const Tuple& t) {
-  push_one(t, /*is_left=*/false, nullptr);
 }
 
 void WindowJoinOp::push_batch_left(const runtime::TupleBatch& batch,
@@ -166,7 +124,7 @@ void WindowJoinOp::push_batch_side(const runtime::TupleBatch& batch,
     if (lift_append_ts) {
       t.values.emplace_back(static_cast<std::int64_t>(t.ts));
     }
-    push_one(std::move(t), is_left, &out);
+    push_one(std::move(t), is_left, out);
   };
   if (sel == nullptr) {
     for (std::uint32_t r = 0; r < batch.size(); ++r) one(r);
@@ -201,7 +159,7 @@ void WindowJoinOp::import_state(State state) {
     for (Tuple& t : tuples) {
       // Same insert path as push_one, sans probe: buckets end up holding
       // ascending seqs, which prune_side's pop-front relies on.
-      if (hash_enabled_) {
+      if (!keys_.empty()) {
         rt.index[key_hash(t, is_left)].push_back(rt.next_seq);
       }
       ++rt.next_seq;
@@ -215,7 +173,7 @@ void WindowJoinOp::import_state(State state) {
 void WindowJoinOp::prune_side(SideRuntime& s, const WindowSpec& window,
                               bool is_left) {
   while (!s.buf.empty() && !window.contains(s.buf.front().ts, watermark_)) {
-    if (hash_enabled_) {
+    if (!keys_.empty()) {
       // The evicted tuple is the globally oldest buffered one, so its seq
       // is the front of its bucket.
       const auto it = s.index.find(key_hash(s.buf.front(), is_left));
@@ -243,12 +201,11 @@ std::size_t WindowJoinOp::key_hash(const Tuple& t, bool of_left) const {
   return h;
 }
 
-void WindowJoinOp::push_one(Tuple t, bool is_left,
-                            runtime::TupleBatch* batch_out) {
+void WindowJoinOp::push_one(Tuple t, bool is_left, runtime::TupleBatch& out) {
   advance_watermark(t.ts);
-  probe(t, is_left, batch_out);
+  probe(t, is_left, out);
   SideRuntime& own = is_left ? left_rt_ : right_rt_;
-  if (hash_enabled_) {
+  if (!keys_.empty()) {
     own.index[key_hash(t, is_left)].push_back(own.next_seq);
   }
   ++own.next_seq;
@@ -256,16 +213,16 @@ void WindowJoinOp::push_one(Tuple t, bool is_left,
 }
 
 void WindowJoinOp::probe(const Tuple& incoming, bool incoming_is_left,
-                         runtime::TupleBatch* batch_out) {
+                         runtime::TupleBatch& out) {
   SideRuntime& other = incoming_is_left ? right_rt_ : left_rt_;
   const Side& other_side = incoming_is_left ? right_ : left_;
   if (other.buf.empty()) return;
+  const CompiledPredicate& residual =
+      incoming_is_left ? residual_left_in_ : residual_right_in_;
 
-  if (hash_enabled_) {
+  if (!keys_.empty()) {
     const auto it = other.index.find(key_hash(incoming, incoming_is_left));
     if (it == other.index.end()) return;
-    const CompiledPredicate& residual =
-        incoming_is_left ? residual_left_in_ : residual_right_in_;
     Value sa;
     Value sb;
     for (const std::uint64_t seq : it->second) {
@@ -286,43 +243,29 @@ void WindowJoinOp::probe(const Tuple& incoming, bool incoming_is_left,
       if (!keys_equal) continue;
       if (!residual.eval(incoming, cand)) continue;
       emit(incoming_is_left ? incoming : cand,
-           incoming_is_left ? cand : incoming, batch_out);
+           incoming_is_left ? cand : incoming, out);
     }
     return;
   }
 
-  const CompiledPredicate& full =
-      incoming_is_left ? full_left_in_ : full_right_in_;
   for (const Tuple& cand : other.buf) {
     if (!other_side.window.contains(cand.ts, incoming.ts)) continue;
-    if (!full.eval(incoming, cand)) continue;
+    if (!residual.eval(incoming, cand)) continue;
     emit(incoming_is_left ? incoming : cand,
-         incoming_is_left ? cand : incoming, batch_out);
+         incoming_is_left ? cand : incoming, out);
   }
 }
 
 void WindowJoinOp::emit(const Tuple& lt, const Tuple& rt,
-                        runtime::TupleBatch* batch_out) {
+                        runtime::TupleBatch& out) {
   ++emitted_;
-  const Timestamp ts = std::max(lt.ts, rt.ts);
-  if (batch_out != nullptr) {
-    // Scratch row reused across emits: push_row drains the elements but
-    // the vector keeps its capacity.
-    row_scratch_.clear();
-    row_scratch_.reserve(lt.values.size() + rt.values.size());
-    row_scratch_.insert(row_scratch_.end(), lt.values.begin(),
-                        lt.values.end());
-    row_scratch_.insert(row_scratch_.end(), rt.values.begin(),
-                        rt.values.end());
-    batch_out->push_row(ts, std::move(row_scratch_));
-    return;
-  }
-  Tuple out;
-  out.ts = ts;
-  out.values.reserve(lt.values.size() + rt.values.size());
-  out.values.insert(out.values.end(), lt.values.begin(), lt.values.end());
-  out.values.insert(out.values.end(), rt.values.begin(), rt.values.end());
-  sink_(out);
+  // Scratch row reused across emits: push_row drains the elements but the
+  // vector keeps its capacity.
+  row_scratch_.clear();
+  row_scratch_.reserve(lt.values.size() + rt.values.size());
+  row_scratch_.insert(row_scratch_.end(), lt.values.begin(), lt.values.end());
+  row_scratch_.insert(row_scratch_.end(), rt.values.begin(), rt.values.end());
+  out.push_row(std::max(lt.ts, rt.ts), std::move(row_scratch_));
 }
 
 }  // namespace cosmos::stream

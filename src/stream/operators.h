@@ -1,23 +1,23 @@
-// Push-based streaming operators: filter, project, sliding-window join.
+// Batch-at-a-time streaming operators: filter, project, sliding-window join.
 //
-// Operators form a tree; each operator pushes produced tuples into its
-// downstream consumer. Tuples are timestamp-ordered per input stream
-// (enforced by the engine).
+// Every operator has one entry shape: a runtime::TupleBatch plus a
+// selection vector (ascending row ids; nullptr = all rows) in, a refined
+// selection or an output batch out. The caller (query/plan.cpp) chains
+// them; there are no per-row callbacks. Every execution mode drives this
+// one path: push() hands plans one-row batches, run() and the federation
+// workers hand them driver chunks. Tuples are timestamp-ordered per input
+// stream (enforced by the engine).
 //
-// Every operator has two entry shapes sharing one state:
-//  - the scalar path (push/push_left/push_right) — one tuple in, sink
-//    callbacks out; what push() mode and the unit tests drive;
-//  - the batch path (push_batch*) — a whole runtime::TupleBatch plus a
-//    selection vector (ascending row ids; nullptr = all rows) in, refined
-//    selections or output batches out, with no per-row std::function hops.
 // Predicates are compiled once at construction (stream/compiled_predicate.h):
 // field references resolve to column slots at build time, so construction
 // throws std::invalid_argument on fields the bound schemas cannot resolve.
+// The oracle for these operators is the naive reference evaluator in
+// tests/support/reference_eval.h (interpreted predicates, a nested-loop
+// join that never prunes), which shares no code with them.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -34,27 +34,22 @@ class TupleBatch;
 
 namespace cosmos::stream {
 
-/// Downstream consumer of produced tuples (scalar path).
-using Sink = std::function<void(const Tuple&)>;
-
-/// Single-input filter: forwards tuples satisfying the predicate.
+/// Single-input filter: selects the rows satisfying the predicate.
 class FilterOp {
  public:
   /// `alias` is the name the predicate uses to reference this input.
   /// `virtual_ts_col` (when not SIZE_MAX) names the schema column that is
   /// absent from batch rows and evaluates to the row timestamp instead —
-  /// the plan's appended "<alias>.timestamp" column, letting the batch
-  /// path run directly over raw source batches without lifting them.
+  /// the plan's appended "<alias>.timestamp" column, letting the filter
+  /// run directly over raw source batches without lifting them.
   /// Compiles the predicate at construction; throws std::invalid_argument
   /// on null arguments or unresolvable fields.
-  FilterOp(std::string alias, const Schema* schema, PredicatePtr predicate,
-           Sink sink, std::size_t virtual_ts_col = SIZE_MAX);
+  FilterOp(std::string alias, const Schema* schema,
+           const PredicatePtr& predicate,
+           std::size_t virtual_ts_col = SIZE_MAX);
 
-  void push(const Tuple& t);
-
-  /// Batch path: evaluates the rows listed in `sel` (all rows when
-  /// nullptr) and appends passing row ids to `out` in ascending order.
-  /// The sink is not invoked — batch chaining is wired by the caller.
+  /// Evaluates the rows listed in `sel` (all rows when nullptr) and
+  /// appends passing row ids to `out` in ascending order.
   void push_batch(const runtime::TupleBatch& batch,
                   const std::vector<std::uint32_t>* sel,
                   std::vector<std::uint32_t>& out);
@@ -63,11 +58,7 @@ class FilterOp {
   [[nodiscard]] std::size_t passed() const noexcept { return passed_; }
 
  private:
-  std::string alias_;
-  const Schema* schema_;
-  PredicatePtr predicate_;
   CompiledPredicate compiled_;
-  Sink sink_;
   std::size_t seen_ = 0;
   std::size_t passed_ = 0;
 };
@@ -76,22 +67,17 @@ class FilterOp {
 class ProjectOp {
  public:
   /// `virtual_ts_col`: as for FilterOp — a keep index equal to it reads
-  /// the row timestamp on the batch path (scalar tuples carry the column
-  /// physically).
-  ProjectOp(std::vector<std::size_t> keep_indices, Sink sink,
-            std::size_t virtual_ts_col = SIZE_MAX);
+  /// the row timestamp.
+  explicit ProjectOp(std::vector<std::size_t> keep_indices,
+                     std::size_t virtual_ts_col = SIZE_MAX);
 
-  void push(const Tuple& t);
-
-  /// Batch path: appends the projection of the selected rows to `out`
-  /// (the sink is not invoked).
+  /// Appends the projection of the selected rows to `out`.
   void push_batch(const runtime::TupleBatch& batch,
                   const std::vector<std::uint32_t>* sel,
                   runtime::TupleBatch& out);
 
  private:
   std::vector<std::size_t> keep_;
-  Sink sink_;
   std::size_t virtual_ts_col_;
   std::vector<Value> row_scratch_;  ///< reused per batch row (no per-row alloc)
 };
@@ -110,14 +96,16 @@ class ProjectOp {
 /// watermark-pruned state no longer matching, where the old arrival-driven
 /// prune would have (under-pruned) state still joining.
 ///
-/// At construction the predicate's equality conjuncts over opposite sides
-/// are extracted (split_equi_conjuncts) and each side keeps a hash index on
-/// its key columns; probes then touch only key-equal candidates and re-check
-/// the window plus the compiled residual predicate, falling back to the
-/// O(window) scan (with the full compiled predicate) when no equality
-/// conjunct exists or Options::use_hash_index is off. Both buffers are
-/// pruned eagerly whenever the watermark — the max timestamp seen on either
-/// input — advances, so an idle opposite side no longer pins stale state
+/// The probe follows from the predicate. At construction its equality
+/// conjuncts over opposite sides are extracted (split_equi_conjuncts); when
+/// there is at least one, each side keeps a hash index on its key columns
+/// and probes touch only key-equal candidates, re-checking the window plus
+/// the compiled residual predicate. A join without an extractable key scans
+/// the other side's window. Both probes visit candidates in arrival order,
+/// so a keyed join emits exactly the sequence the same join written
+/// without a key would. Both buffers are pruned eagerly
+/// whenever the watermark — the max timestamp seen on either input —
+/// advances, so an idle opposite side no longer pins stale state
 /// (state_size feeds the migration planner's cost model).
 class WindowJoinOp {
  public:
@@ -126,25 +114,14 @@ class WindowJoinOp {
     const Schema* schema = nullptr;
     WindowSpec window;
   };
-  struct Options {
-    /// Off forces the scanning probe everywhere — the semantic oracle the
-    /// hash path is differentially tested (and benched) against.
-    bool use_hash_index = true;
-  };
+  WindowJoinOp(Side left, Side right, const PredicatePtr& predicate);
 
-  WindowJoinOp(Side left, Side right, PredicatePtr predicate, Sink sink);
-  WindowJoinOp(Side left, Side right, PredicatePtr predicate, Sink sink,
-               Options options);
-
-  void push_left(const Tuple& t);
-  void push_right(const Tuple& t);
-
-  /// Batch path: pushes every selected row of `batch` (in order) through
-  /// the same probe-then-insert machinery, appending join outputs to `out`
-  /// instead of invoking the sink. When `lift_append_ts` is set the rows
-  /// are raw source rows one column narrower than the side schema, whose
-  /// lifted form appends the row timestamp — the plan's lift, fused into
-  /// the join's own materialization.
+  /// Pushes every selected row of `batch` (in order) through
+  /// probe-then-insert on one side, appending join outputs to `out`. When
+  /// `lift_append_ts` is set the rows are raw source rows one column
+  /// narrower than the side schema, whose lifted form appends the row
+  /// timestamp — the plan's lift, fused into the join's own
+  /// materialization.
   void push_batch_left(const runtime::TupleBatch& batch,
                        const std::vector<std::uint32_t>* sel,
                        bool lift_append_ts, runtime::TupleBatch& out);
@@ -194,31 +171,25 @@ class WindowJoinOp {
     std::unordered_map<std::size_t, std::deque<std::uint64_t>> index;
   };
 
-  void push_one(Tuple t, bool is_left, runtime::TupleBatch* batch_out);
+  void push_one(Tuple t, bool is_left, runtime::TupleBatch& out);
   void push_batch_side(const runtime::TupleBatch& batch,
                        const std::vector<std::uint32_t>* sel,
                        bool lift_append_ts, bool is_left,
                        runtime::TupleBatch& out);
   void probe(const Tuple& incoming, bool incoming_is_left,
-             runtime::TupleBatch* batch_out);
-  void emit(const Tuple& lt, const Tuple& rt, runtime::TupleBatch* batch_out);
+             runtime::TupleBatch& out);
+  void emit(const Tuple& lt, const Tuple& rt, runtime::TupleBatch& out);
   void prune_side(SideRuntime& s, const WindowSpec& window, bool is_left);
   [[nodiscard]] std::size_t key_hash(const Tuple& t, bool of_left) const;
 
   Side left_;
   Side right_;
-  PredicatePtr predicate_;
-  Sink sink_;
-  Options options_;
-  std::vector<EquiKey> keys_;
+  std::vector<EquiKey> keys_;  ///< empty = scanning probe
   /// Probe programs per incoming direction (bindings [incoming, other]):
-  /// the full predicate for the scanning probe, the post-equi residual for
-  /// the hash probe.
-  CompiledPredicate full_left_in_;
-  CompiledPredicate full_right_in_;
+  /// the predicate minus the extracted equality keys. Without keys that is
+  /// the whole predicate, which the scanning probe evaluates.
   CompiledPredicate residual_left_in_;
   CompiledPredicate residual_right_in_;
-  bool hash_enabled_ = false;
   Timestamp watermark_ = INT64_MIN;
   SideRuntime left_rt_;
   SideRuntime right_rt_;

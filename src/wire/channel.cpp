@@ -6,15 +6,6 @@
 #include "wire/messages.h"
 
 namespace cosmos::wire {
-namespace {
-
-[[nodiscard]] std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 FrameChannel::FrameChannel(Socket socket, Options options)
     : options_(options),
@@ -27,7 +18,7 @@ FrameChannel::FrameChannel(Socket socket, Options options)
   if (!socket_.valid()) {
     throw Error{"wire: FrameChannel needs a connected socket"};
   }
-  const std::int64_t now = now_ns();
+  const std::uint64_t now = now_ns();
   last_send_ns_.store(now, std::memory_order_relaxed);
   last_recv_ns_.store(now, std::memory_order_relaxed);
   sender_ = std::thread([this] { sender_loop(); });
@@ -89,15 +80,16 @@ void FrameChannel::watchdog_loop() {
          !liveness_expired_.load(std::memory_order_relaxed)) {
     const std::int64_t deadline = liveness_deadline_ms_.load();
     if (deadline > 0) {
-      const std::int64_t last =
-          last_recv_ns_.load(std::memory_order_relaxed);
-      const std::int64_t now = now_ns();
-      if (now - last > deadline * 1'000'000) {
+      // Signed: the reader thread's stamp may read a little ahead of this
+      // thread's clock, and that must count as just heard from.
+      const auto silent_ns = static_cast<std::int64_t>(
+          now_ns() - last_recv_ns_.load(std::memory_order_relaxed));
+      if (silent_ns > deadline * 1'000'000) {
         liveness_expired_.store(true, std::memory_order_relaxed);
         record_send_error(
             "wire: liveness deadline (" + std::to_string(deadline) +
             " ms) exceeded: nothing received from peer for " +
-            std::to_string((now - last) / 1'000'000) + " ms");
+            std::to_string(silent_ns / 1'000'000) + " ms");
         // Close the queue so blocked senders throw, and shut the socket
         // down so both the wedged sender and the read side wake — the
         // silence surfaces as a thrown Error and the EOF-driven failure
@@ -137,8 +129,8 @@ bool FrameChannel::transmit(Outgoing item, std::optional<Outgoing>& held) {
   }
   if (action.pace_ms > 0) {
     const auto release =
-        std::chrono::steady_clock::time_point{std::chrono::nanoseconds{
-            last_send_ns_.load(std::memory_order_relaxed)}} +
+        TimePoint{DurationNs{static_cast<DurationNs::rep>(
+            last_send_ns_.load(std::memory_order_relaxed))}} +
         std::chrono::milliseconds(action.pace_ms);
     std::this_thread::sleep_until(release);
   }
@@ -186,14 +178,14 @@ void FrameChannel::sender_loop() {
     try {
       if (got == decltype(send_queue_)::WaitResult::kTimeout) {
         const std::int64_t hb = heartbeat_every_ms_.load();
-        if (hb > 0 && now_ns() - last_send_ns_.load(
-                                     std::memory_order_relaxed) >=
+        if (hb > 0 && static_cast<std::int64_t>(
+                          now_ns() - last_send_ns_.load(
+                                         std::memory_order_relaxed)) >=
                           hb * 1'000'000) {
           // Originate a keepalive. It runs through the same fault schedule
           // as data (a partitioned link must swallow heartbeats too — that
           // is exactly what makes the partition detectable).
-          Outgoing beat{encode_heartbeat({}),
-                        std::chrono::steady_clock::now(),
+          Outgoing beat{encode_heartbeat({}), Clock::now(),
                         send_delay_ms_.load(std::memory_order_relaxed)};
           if (!transmit(std::move(beat), held)) {
             drain_dropped(held);
@@ -216,7 +208,7 @@ void FrameChannel::sender_loop() {
 }
 
 void FrameChannel::send(Frame frame) {
-  Outgoing out{std::move(frame), std::chrono::steady_clock::now(),
+  Outgoing out{std::move(frame), Clock::now(),
                send_delay_ms_.load(std::memory_order_relaxed)};
   if (!send_queue_.push(std::move(out))) {
     const std::string err = send_error();

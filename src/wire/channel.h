@@ -46,6 +46,7 @@
 #include <string>
 #include <thread>
 
+#include "common/clock.h"
 #include "fault/fault.h"
 #include "runtime/queues.h"
 #include "wire/socket.h"
@@ -160,7 +161,7 @@ class FrameChannel {
  private:
   struct Outgoing {
     Frame frame;
-    std::chrono::steady_clock::time_point enqueued;
+    TimePoint enqueued;
     std::int64_t delay_ms = 0;  ///< snapshot of send_delay_ms_ at enqueue
   };
   void sender_loop();
@@ -203,10 +204,10 @@ class FrameChannel {
   std::mutex sender_done_mu_;
   std::condition_variable sender_done_cv_;
   bool sender_done_ = false;
-  /// steady_clock nanos of the last socket write / last received frame —
-  /// the heartbeat and watchdog clocks.
-  std::atomic<std::int64_t> last_send_ns_{0};
-  std::atomic<std::int64_t> last_recv_ns_{0};
+  /// now_ns() of the last socket write / last received frame — the
+  /// heartbeat and watchdog clocks.
+  std::atomic<std::uint64_t> last_send_ns_{0};
+  std::atomic<std::uint64_t> last_recv_ns_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   std::atomic<std::uint64_t> frames_sent_{0};

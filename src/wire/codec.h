@@ -55,7 +55,9 @@ inline constexpr std::uint32_t kMagic = 0x434F534Du;  // "COSM"
 /// runs, one kExecuteBundle per (chunk, target worker) carrying each run
 /// once plus per-engine (seq, run, rows) slices (it replaces the
 /// per-engine kExecute), and one kRouteDecision per (chunk, owner).
-inline constexpr std::uint16_t kProtocolVersion = 4;
+/// v5: kTopology drops its subscription-index byte — workers always build
+/// the indexed broker.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 /// Upper bound on one frame's payload; decode rejects larger claims so a
 /// corrupt length prefix cannot trigger a giant allocation.
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
@@ -63,7 +65,7 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
 enum class FrameType : std::uint16_t {
   kHello = 1,          ///< driver -> node: version + link emulation knobs
   kHelloAck = 2,       ///< node -> driver: version + daemon info string
-  kTopology = 3,       ///< participants + dense latency matrix + options
+  kTopology = 3,       ///< participants + dense latency matrix
   kRegisterStream = 4, ///< advertise: stream, publisher, schema
   kSubscribe = 5,      ///< full Subscription (p1 registration)
   kDeployUnit = 6,     ///< unit id, host, result stream, QuerySpec

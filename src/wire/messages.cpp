@@ -182,7 +182,6 @@ Frame encode_topology(const TopologyMsg& m) {
     throw Error{"wire: topology dense matrix is not members^2"};
   }
   for (double d : m.dense) w.f64(d);
-  w.u8(m.use_index ? 1 : 0);
   return finish(FrameType::kTopology, std::move(w));
 }
 
@@ -206,7 +205,6 @@ TopologyMsg decode_topology(const Frame& f) {
   check_count(cells, r.remaining(), "topology matrix cell");
   m.dense.reserve(cells);
   for (std::uint64_t i = 0; i < cells; ++i) m.dense.push_back(r.f64());
-  m.use_index = r.u8() != 0;
   r.done();
   return m;
 }

@@ -55,14 +55,13 @@ struct HelloAckMsg {
   std::string info;  ///< free-form daemon identification (pid etc.)
 };
 
-/// Node list + latency matrix + broker options: everything a node needs to
-/// rebuild the exact BrokerNetwork overlay the driver has, so worker-side
-/// matching and traffic accounting are byte-identical to in-process runs.
+/// Node list + latency matrix: everything a node needs to rebuild the
+/// exact BrokerNetwork overlay the driver has, so worker-side matching and
+/// traffic accounting are byte-identical to in-process runs.
 struct TopologyMsg {
   std::vector<NodeId> participants;   ///< broker participants, in order
   std::vector<NodeId> members;        ///< latency-matrix members, in order
   std::vector<double> dense;          ///< row-major member-to-member ms
-  bool use_index = true;              ///< subscription-index matching
 };
 
 struct RegisterStreamMsg {

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <thread>
 
+#include "common/clock.h"
+
 namespace cosmos::wire {
 namespace {
 
@@ -223,8 +225,8 @@ void Listener::close() noexcept {
 }
 
 Socket connect_to(const Endpoint& to, int timeout_ms) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + std::chrono::milliseconds(timeout_ms);
+  const auto start = Clock::now();
+  const auto deadline = start + DurationMs(timeout_ms);
   int attempts = 0;
   while (true) {
     ++attempts;
@@ -253,13 +255,12 @@ Socket connect_to(const Endpoint& to, int timeout_ms) {
     const int last_errno = errno;
     const bool retryable = last_errno == ECONNREFUSED ||
                            last_errno == ENOENT || last_errno == EAGAIN;
-    if (!retryable || std::chrono::steady_clock::now() >= deadline) {
+    if (!retryable || Clock::now() >= deadline) {
       // Name the endpoint, the retry budget actually spent, and the last
       // errno — "refused after exhausting the 10 s budget" and "no route,
       // gave up immediately" must be tellable apart from the message.
       const auto elapsed_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - start)
+          std::chrono::duration_cast<DurationMs>(Clock::now() - start)
               .count();
       throw Error{"wire: connect to " + to.to_string() + " failed after " +
                   std::to_string(attempts) + " attempt(s) over " +

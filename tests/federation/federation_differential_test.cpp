@@ -1,6 +1,7 @@
 // Multi-process federation differential: a driver plus N real cosmos_noded
 // worker processes over Unix-domain sockets must deliver byte-identical
-// per-query result sequences to the synchronous push() mode — across
+// per-query result sequences to the synchronous push() mode (itself first
+// checked against the naive reference evaluator) — across
 // worker counts, in-flight windows, worker shard counts, and scripted live
 // migrations (which must ship real serialized state over the wire). Plus
 // the fault path: a worker killed mid-run surfaces as a clean throw, never
@@ -27,6 +28,7 @@
 #include "cosmos/cosmos.h"
 #include "node/spawn.h"
 #include "support/random_workload.h"
+#include "support/reference_eval.h"
 
 namespace cosmos::middleware {
 namespace {
@@ -34,6 +36,7 @@ namespace {
 using testsupport::ResultLog;
 using testsupport::build_system;
 using testsupport::make_workload;
+using testsupport::reference_log;
 
 struct Fleet {
   std::vector<node::NodeProcess> procs;
@@ -71,6 +74,9 @@ TEST(Federation, MatchesPushAcrossWorkerCountsAndWindows) {
       for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
     }
     for (const auto& [q, lines] : push_log) total_results += lines.size();
+    ASSERT_EQ(push_log, reference_log(w))
+        << "push() disagrees with the reference evaluator: seed=" << seed
+        << "  (replay: COSMOS_DIFF_SEED=" << seed << ")";
 
     struct Config {
       std::size_t workers;

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,71 +57,85 @@ ResultLog push_baseline(const testsupport::RandomWorkload& w) {
   return log;
 }
 
-TEST(FederationFaults, SigstopWorkerDetectedAndRecovered) {
+/// One configuration of the SIGSTOP matrix. Each is its own test instance,
+/// so ctest spreads the matrix over its jobs.
+struct SigstopCase {
+  std::uint64_t seed;
+  std::size_t workers;
+  bool peer_links;
+};
+
+/// Names the instance in ctest, e.g. ".../seed2_w2_star".
+void PrintTo(const SigstopCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_w" << c.workers
+      << (c.peer_links ? "_peer" : "_star");
+}
+
+class FederationFaultsSigstop : public ::testing::TestWithParam<SigstopCase> {
+};
+
+TEST_P(FederationFaultsSigstop, WorkerDetectedAndRecovered) {
   // A SIGSTOPped worker is the canonical silent failure: the process is
   // alive, its sockets stay open, it just never answers. The liveness
   // watchdog must declare it dead within the deadline and hand it to the
   // same respawn/replay recovery that handles kill -9 — byte-identically.
+  const SigstopCase cfg = GetParam();
+  const auto w = make_workload(cfg.seed);
+  const auto push_log = push_baseline(w);
+
+  auto fleet = spawn_fleet(cfg.workers, "stop");
+  ResultLog fed_log;
+  auto sys = build_system(w, fed_log);
+
+  Cosmos::FederationOptions opts;
+  opts.workers = fleet.endpoints;
+  opts.batch_size = 16;  // small chunks: the stop lands mid-trace
+  opts.tick_ms = 20 * 60'000;
+  opts.peer_links = cfg.peer_links;
+  opts.recovery.enabled = true;
+  opts.recovery.noded_path = node::default_noded_path();
+  opts.liveness.heartbeat_every_ms = 100;
+  opts.liveness.deadline_ms = 600;
+  // Only the first configuration writes the merged trace CI validates.
   const char* trace_env = std::getenv("COSMOS_FAULTS_TRACE");
-  bool trace_written = false;
-
-  for (const std::uint64_t seed : {2, 5}) {
-    const auto w = make_workload(seed);
-    const auto push_log = push_baseline(w);
-
-    struct Config {
-      std::size_t workers;
-      bool peer_links;
-    };
-    for (const Config cfg :
-         {Config{2, false}, Config{2, true}, Config{4, false},
-          Config{4, true}}) {
-      auto fleet = spawn_fleet(cfg.workers, "stop");
-      ResultLog fed_log;
-      auto sys = build_system(w, fed_log);
-
-      Cosmos::FederationOptions opts;
-      opts.workers = fleet.endpoints;
-      opts.batch_size = 16;  // small chunks: the stop lands mid-trace
-      opts.tick_ms = 20 * 60'000;
-      opts.peer_links = cfg.peer_links;
-      opts.recovery.enabled = true;
-      opts.recovery.noded_path = node::default_noded_path();
-      opts.liveness.heartbeat_every_ms = 100;
-      opts.liveness.deadline_ms = 600;
-      if (trace_env != nullptr && !trace_written) {
-        opts.trace_path = trace_env;
-        trace_written = true;
-      }
-      const std::size_t victim = 1 % cfg.workers;
-      bool stopped = false;
-      opts.on_chunk = [&](std::size_t chunk) {
-        if (chunk == 2 && !stopped) {
-          ::kill(fleet.procs[victim].pid(), SIGSTOP);
-          stopped = true;
-        }
-      };
-
-      const auto report = sys->run_federated(w.events, opts);
-
-      ASSERT_TRUE(stopped) << "trace too short to land the stop: seed="
-                           << seed << " workers=" << cfg.workers;
-      EXPECT_GE(report.federation.recoveries, 1u);
-      EXPECT_EQ(report.tuples, w.events.size());
-      ASSERT_EQ(fed_log, push_log)
-          << "sigstop differential mismatch: seed=" << seed
-          << " workers=" << cfg.workers << " peer_links=" << cfg.peer_links;
-
-      // The stopped orphan still holds the old endpoint; SIGKILL reaps a
-      // stopped process without needing SIGCONT first.
-      fleet.procs[victim].kill();
-      EXPECT_EQ(fleet.procs[victim].exit_status(), -SIGKILL);
-      for (std::size_t i = 0; i < fleet.procs.size(); ++i) {
-        if (i != victim) EXPECT_EQ(fleet.procs[i].wait(), 0);
-      }
+  if (trace_env != nullptr && cfg.seed == 2 && cfg.workers == 2 &&
+      !cfg.peer_links) {
+    opts.trace_path = trace_env;
+  }
+  const std::size_t victim = 1 % cfg.workers;
+  bool stopped = false;
+  opts.on_chunk = [&](std::size_t chunk) {
+    if (chunk == 2 && !stopped) {
+      ::kill(fleet.procs[victim].pid(), SIGSTOP);
+      stopped = true;
     }
+  };
+
+  const auto report = sys->run_federated(w.events, opts);
+
+  ASSERT_TRUE(stopped) << "trace too short to land the stop: seed="
+                       << cfg.seed << " workers=" << cfg.workers;
+  EXPECT_GE(report.federation.recoveries, 1u);
+  EXPECT_EQ(report.tuples, w.events.size());
+  ASSERT_EQ(fed_log, push_log)
+      << "sigstop differential mismatch: seed=" << cfg.seed
+      << " workers=" << cfg.workers << " peer_links=" << cfg.peer_links;
+
+  // The stopped orphan still holds the old endpoint; SIGKILL reaps a
+  // stopped process without needing SIGCONT first.
+  fleet.procs[victim].kill();
+  EXPECT_EQ(fleet.procs[victim].exit_status(), -SIGKILL);
+  for (std::size_t i = 0; i < fleet.procs.size(); ++i) {
+    if (i != victim) EXPECT_EQ(fleet.procs[i].wait(), 0);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, FederationFaultsSigstop,
+    ::testing::Values(SigstopCase{2, 2, false}, SigstopCase{2, 2, true},
+                      SigstopCase{2, 4, false}, SigstopCase{2, 4, true},
+                      SigstopCase{5, 2, false}, SigstopCase{5, 2, true},
+                      SigstopCase{5, 4, false}, SigstopCase{5, 4, true}));
 
 TEST(FederationFaults, SigstopSigcontUnderDeadlineIsNotAFailure) {
   // The false-positive guard: a worker paused for less than the deadline

@@ -1,11 +1,14 @@
 // Randomized differential harness: the load-bearing invariant of the whole
 // execution stack is that the runtime-backed Cosmos::run() delivers
 // byte-identical per-query result sequences to the synchronous push() mode
-// — at any shard count, any batch size, and with adaptation on or off.
+// — at any shard count, any batch size, and with adaptation on or off —
+// and that push() delivers exactly what the naive reference evaluator
+// (tests/support/reference_eval.h) computes for each query on its own.
 // The seeded workloads come from tests/support/random_workload.h (shared
-// with the multi-process federation differential); each is replayed
-// through every configuration in the {1,4,8} shards x {1,64,1024} batch x
-// {adapt off, adapt on} grid, diffing the full result logs against push().
+// with the multi-process federation differential); each is checked
+// against the reference, then replayed through every configuration in the
+// {1,4,8} shards x {1,64,1024} batch x {adapt off, adapt on} grid, diffing
+// the full result logs against push().
 //
 // On failure the seed and configuration are printed; replay one seed with
 //   COSMOS_DIFF_SEED=<seed> ./tests_integration_differential_test
@@ -21,6 +24,7 @@
 #include "cosmos/cosmos.h"
 #include "obs/trace.h"
 #include "support/random_workload.h"
+#include "support/reference_eval.h"
 
 namespace cosmos::middleware {
 namespace {
@@ -28,6 +32,7 @@ namespace {
 using testsupport::ResultLog;
 using testsupport::build_system;
 using testsupport::make_workload;
+using testsupport::reference_log;
 
 TEST(Differential, RunMatchesPushAcrossShardsBatchesAndAdaptation) {
   // COSMOS_DIFF_SEED replays a single failing workload; default sweeps 20.
@@ -47,6 +52,9 @@ TEST(Differential, RunMatchesPushAcrossShardsBatchesAndAdaptation) {
       for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
     }
     for (const auto& [q, lines] : push_log) total_results += lines.size();
+    ASSERT_EQ(push_log, reference_log(w))
+        << "push() disagrees with the reference evaluator: seed=" << seed
+        << "  (replay: COSMOS_DIFF_SEED=" << seed << ")";
 
     for (const std::size_t shards : {1, 4, 8}) {
       for (const std::size_t batch : {1, 64, 1024}) {

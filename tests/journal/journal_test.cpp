@@ -369,17 +369,17 @@ TEST_F(JournalTest, BundleWithoutChunkMarkerIsDropped) {
   EXPECT_EQ(rec.resume_chunk, 1u);
 }
 
-/// A journal written for wire protocol v3 is refused with a typed error.
-TEST_F(JournalTest, RefusesV3Journal) {
+/// A journal written for wire protocol v4 is refused with a typed error.
+TEST_F(JournalTest, RefusesV4Journal) {
   {
     auto meta = test_meta();
-    meta.protocol = 3;
+    meta.protocol = 4;
     auto w = Writer::create(dir_, meta, Writer::Options{});
     w->commit_checkpoint({});
   }
   try {
     (void)recover(dir_);
-    ADD_FAILURE() << "a v3 journal was accepted";
+    ADD_FAILURE() << "a v4 journal was accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kBadVersion);
   }

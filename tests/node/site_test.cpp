@@ -481,11 +481,11 @@ TEST(Site, RouteDecisionChecksRunIndexAndRows) {
   EXPECT_EQ(h.of_type(FrameType::kFlushAck).size(), 1u);
 }
 
-/// A v3 driver is refused with a typed error, never half-served.
-TEST(Site, RefusesV3Hello) {
+/// A v4 driver is refused with a typed error, never half-served.
+TEST(Site, RefusesV4Hello) {
   Harness h;
   wire::HelloMsg hello;
-  hello.protocol = 3;
+  hello.protocol = 4;
   std::vector<Frame> out;
   EXPECT_THROW((void)h.site.handle(wire::encode_hello(hello), out),
                wire::Error);

@@ -56,6 +56,36 @@ TEST(Containment, AliasRenamingIsHandled) {
   EXPECT_FALSE(contains(b, a));
 }
 
+TEST(Containment, SelfJoinPairsAliasesInSourceOrder) {
+  // Both aliases read Station1. Pairing them in source order keeps the
+  // left alias left: a self-join's left side sees each row first, so a
+  // merge that swapped the two sides would change the result.
+  const auto wide = cql::parse_query(
+      "SELECT * FROM Station1 [Range 30 Minutes] P, Station1 [Now] Q "
+      "WHERE P.snowHeight > Q.snowHeight");
+  const auto narrow = cql::parse_query(
+      "SELECT * FROM Station1 [Range 10 Minutes] A, Station1 [Now] B "
+      "WHERE A.snowHeight > B.snowHeight AND B.temperature < 2.5");
+  const auto swapped = cql::parse_query(
+      "SELECT * FROM Station1 [Now] A, Station1 [Range 10 Minutes] B "
+      "WHERE B.snowHeight > A.snowHeight");
+  EXPECT_TRUE(contains(wide, wide));
+  EXPECT_TRUE(contains(wide, narrow));
+  EXPECT_FALSE(contains(narrow, wide));
+  EXPECT_FALSE(contains(wide, swapped));
+
+  const auto merged = merge_queries(wide, narrow, QueryId{9});
+  ASSERT_TRUE(merged.has_value());
+  ASSERT_EQ(merged->merged.sources.size(), 2u);
+  EXPECT_EQ(merged->merged.sources[0].window,
+            stream::WindowSpec::range_millis(30 * 60'000));
+  EXPECT_EQ(merged->merged.sources[1].window, stream::WindowSpec::now());
+  // The narrower left window comes back as a band on the left alias.
+  ASSERT_EQ(merged->split_b.window_bands.size(), 1u);
+  EXPECT_EQ(merged->split_b.window_bands[0].alias, "P");
+  EXPECT_EQ(merged->split_b.window_bands[0].band_ms, 10 * 60'000);
+}
+
 TEST(Containment, DifferentStreamsNeverContain) {
   const auto a = cql::parse_query("SELECT * FROM A [Now] X");
   const auto b = cql::parse_query("SELECT * FROM B [Now] X");

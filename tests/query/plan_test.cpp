@@ -10,6 +10,7 @@
 #include "runtime/tuple_batch.h"
 #include "sim/sensor_trace.h"
 #include "stream/engine.h"
+#include "support/reference_eval.h"
 
 namespace cosmos::query {
 namespace {
@@ -208,9 +209,11 @@ TEST_F(ResultSharingTest, MergedPlusSplitEqualsDirect) {
 
 TEST_F(PlanTest, BatchPathMatchesScalarOnSchemaWithoutTimestampColumn) {
   // Streams whose raw schema lacks a "timestamp" column exercise the
-  // virtual-ts slots end to end: the batch chain filters/joins/projects
-  // raw batches and reads the plan-appended "<alias>.timestamp" column
-  // from the row timestamps, while the scalar chain lifts physically.
+  // virtual-ts slots end to end: the chain filters/joins/projects raw
+  // batches and reads the plan-appended "<alias>.timestamp" column from
+  // the row timestamps. One engine gets per-stream run batches, the other
+  // one-row publishes (push()'s shape); both must equal the reference
+  // evaluator, whose "timestamp" pseudo-field reads the row timestamp.
   const stream::Schema bare{{{"v", stream::ValueType::kInt},
                              {"w", stream::ValueType::kDouble}}};
   engine_.register_stream("BareA", bare);
@@ -270,6 +273,11 @@ TEST_F(PlanTest, BatchPathMatchesScalarOnSchemaWithoutTimestampColumn) {
 
   ASSERT_FALSE(scalar_out.empty());
   EXPECT_EQ(render(batch_out), render(scalar_out));
+  std::vector<runtime::TraceEvent> trace;
+  for (const auto& [stream, tuple] : events) trace.push_back({stream, tuple});
+  EXPECT_EQ(render(middleware::testsupport::reference_evaluate(
+                q, {{"BareA", bare}, {"BareB", bare}}, trace)),
+            render(scalar_out));
   EXPECT_EQ(batch_q.results_emitted(), scalar_q.results_emitted());
   EXPECT_EQ(batch_q.state_tuples(), scalar_q.state_tuples());
 }

@@ -134,33 +134,30 @@ TEST(Engine, BatchTapsReceiveWholeBatchesScalarTapsRows) {
   e.register_stream("S", one_field());
   std::size_t batch_calls = 0;
   std::size_t batch_rows = 0;
-  std::size_t batch_scalar_calls = 0;
-  std::size_t scalar_only_rows = 0;
-  e.attach(
-      "S",
-      [&](const runtime::TupleBatch& b) {
-        ++batch_calls;
-        batch_rows += b.size();
-      },
-      [&](const Tuple&) { ++batch_scalar_calls; });
-  e.attach("S", [&](const Tuple&) { ++scalar_only_rows; });
+  std::vector<std::int64_t> row_tap_seen;
+  e.attach("S", [&](const runtime::TupleBatch& b) {
+    ++batch_calls;
+    batch_rows += b.size();
+  });
+  e.attach("S", [&](const Tuple& t) {
+    row_tap_seen.push_back(t.values.at(0).as_int());
+  });
 
   runtime::TupleBatch b{"S"};
   for (int i = 0; i < 4; ++i) b.push_back(Tuple{i, {Value{i}}});
   e.publish_batch("S", b);
-  EXPECT_EQ(batch_calls, 1u);        // whole batch, once
+  EXPECT_EQ(batch_calls, 1u);  // whole batch, once
   EXPECT_EQ(batch_rows, 4u);
-  EXPECT_EQ(batch_scalar_calls, 0u); // batch leg used, not the scalar one
-  EXPECT_EQ(scalar_only_rows, 4u);   // scalar-only tap saw each row
+  // The row-observer adapter saw each row, in batch order.
+  EXPECT_EQ(row_tap_seen, (std::vector<std::int64_t>{0, 1, 2, 3}));
 
-  // publish() drives the scalar leg of a dual tap.
-  e.publish("S", Tuple{10, {Value{1}}});
-  EXPECT_EQ(batch_calls, 1u);
-  EXPECT_EQ(batch_scalar_calls, 1u);
-  EXPECT_EQ(scalar_only_rows, 5u);
+  // publish() is a one-row batch to every tap.
+  e.publish("S", Tuple{10, {Value{9}}});
+  EXPECT_EQ(batch_calls, 2u);
+  EXPECT_EQ(batch_rows, 5u);
+  EXPECT_EQ(row_tap_seen.back(), 9);
 
-  EXPECT_THROW(e.attach("S", Engine::BatchTap{}, [](const Tuple&) {}),
-               std::invalid_argument);
+  EXPECT_THROW(e.attach("S", Engine::BatchTap{}), std::invalid_argument);
   EXPECT_THROW(e.attach("S", Engine::Tap{}), std::invalid_argument);
 }
 
@@ -169,8 +166,7 @@ TEST(Engine, AllBatchTapsSkipMaterialization) {
   e.register_stream("S", one_field());
   std::size_t rows = 0;
   const std::size_t id = e.attach(
-      "S", [&](const runtime::TupleBatch& b) { rows += b.size(); },
-      [](const Tuple&) {});
+      "S", [&](const runtime::TupleBatch& b) { rows += b.size(); });
   runtime::TupleBatch b{"S"};
   b.push_back(Tuple{1, {Value{1}}});
   b.push_back(Tuple{2, {Value{2}}});

@@ -393,12 +393,10 @@ TEST(WireCodec, TopologyAndRegistrationRoundTrip) {
   for (std::size_t i = 0; i < 16; ++i) {
     topo.dense.push_back(0.5 * static_cast<double>(i));
   }
-  topo.use_index = false;
   const auto t = decode_topology(encode_topology(topo));
   EXPECT_EQ(t.participants, topo.participants);
   EXPECT_EQ(t.members, topo.members);
   EXPECT_EQ(t.dense, topo.dense);
-  EXPECT_FALSE(t.use_index);
 
   RegisterStreamMsg reg;
   reg.stream = "station.3";
@@ -801,18 +799,18 @@ TEST(WireCodec, ChunkFrameMutationsNeverMisparse) {
   }
 }
 
-/// A v3 peer's frames are refused at the header, typed.
-TEST(WireCodec, RejectsV3Frames) {
-  static_assert(kProtocolVersion == 4);
+/// A v4 peer's frames are refused at the header, typed.
+TEST(WireCodec, RejectsV4Frames) {
+  static_assert(kProtocolVersion == 5);
   auto buf = encoded(encode_watermark({1}));
-  buf[4] = 3;  // u16 LE version
+  buf[4] = 4;  // u16 LE version
   buf[5] = 0;
   std::uint8_t header[kFrameHeaderBytes];
   std::copy(buf.begin(), buf.begin() + kFrameHeaderBytes, header);
   FrameType type{};
   EXPECT_THROW((void)decode_frame_header(header, type), Error);
   // The explicit peer-hello echo names the version too.
-  EXPECT_EQ(decode_peer_hello(encode_peer_hello({3, 1})).protocol, 3);
+  EXPECT_EQ(decode_peer_hello(encode_peer_hello({4, 1})).protocol, 4);
 }
 
 }  // namespace
