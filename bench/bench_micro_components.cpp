@@ -114,13 +114,16 @@ void BM_PubSubPublish(benchmark::State& state) {
   t.values = {stream::Value{20.0}, stream::Value{-3.0},
               stream::Value{std::int64_t{0}}, stream::Value{std::int64_t{0}}};
   std::size_t delivered = 0;
+  runtime::TupleBatch row{"S"};
   for (auto _ : state) {
     ++t.ts;
     t.values[3] = stream::Value{t.ts};
-    broker.publish("S", t, [&delivered](const pubsub::Subscription&,
-                                        const pubsub::Message&) {
-      ++delivered;
-    });
+    row.clear();
+    row.push_back(t);
+    broker.publish_batch("S", row,
+                         [&delivered](const pubsub::BatchDelivery& d) {
+                           delivered += d.rows.size();
+                         });
   }
   benchmark::DoNotOptimize(delivered);
 }

@@ -210,26 +210,33 @@ void Cosmos::deploy_unit(Unit& unit) {
 
 void Cosmos::deliver_result(const std::string& result_stream,
                             const stream::Tuple& tuple) {
-  broker_.publish(
-      result_stream, tuple,
-      [this](const pubsub::Subscription& sub, const pubsub::Message& msg) {
-        const auto it = p2_owner_.find(sub.id);
-        if (it == p2_owner_.end()) return;
-        auto& uq = queries_.at(it->second);
-        // Split projection happens consumer-side (cached at wire time).
-        stream::Tuple out;
-        out.ts = msg.tuple.ts;
-        for (const auto i : uq.p2_keep) out.values.push_back(msg.tuple.at(i));
-        uq.callback(it->second, out);
-        ++results_delivered_;
-      });
+  auto* part = broker_.partition(result_stream);
+  // A retired unit version's stream has no partition and no subscribers.
+  if (part == nullptr) return;
+  runtime::TupleBatch row{result_stream};
+  row.push_back(tuple);
+  // Local: a member's callback may re-enter the middleware.
+  std::vector<pubsub::BatchDelivery> deliveries;
+  part->match_batch(row, deliveries);
+  for (const auto& d : deliveries) {
+    const auto it = p2_owner_.find(d.sub->id);
+    if (it == p2_owner_.end()) continue;
+    auto& uq = queries_.at(it->second);
+    // Split projection happens consumer-side (cached at wire time).
+    stream::Tuple out;
+    out.ts = tuple.ts;
+    for (const auto i : uq.p2_keep) out.values.push_back(tuple.at(i));
+    uq.callback(it->second, out);
+    ++results_delivered_;
+  }
 }
 
 void Cosmos::teardown_unit(Unit& unit) {
   for (const auto sid : unit.p1_subs) broker_.unsubscribe(sid);
   unit.p1_subs.clear();
   if (unit.plan) {
-    engine_at(unit.host).detach(unit.result_stream, unit.result_tap);
+    auto& engine = engine_at(unit.host);
+    engine.detach(unit.result_stream, unit.result_tap);
     // p2 subscriptions of members are re-wired by the caller.
     for (const QueryId member : unit.members) {
       const auto it = queries_.find(member);
@@ -239,6 +246,10 @@ void Cosmos::teardown_unit(Unit& unit) {
       it->second.p2_sub = SubscriptionId::invalid();
     }
     unit.plan.reset();
+    // The next version publishes under a new name: retire this one from
+    // the broker (its traffic stays accounted) and from the host engine.
+    broker_.unadvertise(unit.result_stream);
+    engine.remove_stream(unit.result_stream);
   }
 }
 
@@ -575,22 +586,29 @@ Cosmos::RunReport Cosmos::run(const std::vector<runtime::TraceEvent>& events,
 }
 
 void Cosmos::push(const std::string& stream, const stream::Tuple& tuple) {
+  auto* part = broker_.partition(stream);
+  if (part == nullptr) {
+    throw std::invalid_argument{"BrokerNetwork: publish to unadvertised " +
+                                stream};
+  }
+  runtime::TupleBatch row{stream};
+  row.push_back(tuple);
+  // Local, not shared with deliver_result: the fed engines' result taps
+  // deliver p2 results while this loop runs.
+  std::vector<pubsub::BatchDelivery> deliveries;
+  part->match_batch(row, deliveries);
   // Several units at one host may subscribe to the same stream; the host's
   // engine must see the tuple exactly once (plans re-apply their own
   // filters). Every fed engine gets the same one-row batch.
-  runtime::TupleBatch row{stream};
-  row.push_back(tuple);
-  std::set<NodeId> fed;
-  broker_.publish(stream, tuple,
-                  [this, &fed, &row](const pubsub::Subscription& sub,
-                                     const pubsub::Message& msg) {
-                    if (p2_owner_.contains(sub.id)) return;
-                    if (!fed.insert(sub.subscriber).second) return;
-                    auto& engine = engine_at(sub.subscriber);
-                    if (engine.has_stream(msg.stream)) {
-                      engine.publish_batch(msg.stream, row);
-                    }
-                  });
+  std::vector<NodeId> fed;
+  for (const auto& d : deliveries) {
+    if (p2_owner_.contains(d.sub->id)) continue;
+    const NodeId host = d.sub->subscriber;
+    if (std::find(fed.begin(), fed.end(), host) != fed.end()) continue;
+    fed.push_back(host);
+    auto& engine = engine_at(host);
+    if (engine.has_stream(stream)) engine.publish_batch(stream, row);
+  }
 }
 
 }  // namespace cosmos::middleware

@@ -436,7 +436,6 @@ class Cosmos {
   [[nodiscard]] pubsub::TrafficStats traffic() const {
     return broker_.traffic();
   }
-  void reset_traffic() noexcept { broker_.reset_traffic(); }
 
   /// Number of deployed (merged) execution units; <= submitted queries.
   [[nodiscard]] std::size_t deployed_units() const noexcept {
@@ -446,6 +445,11 @@ class Cosmos {
     return queries_.size();
   }
   [[nodiscard]] pubsub::BrokerNetwork& broker() noexcept { return broker_; }
+  /// The engine hosting units at `host`, or nullptr.
+  [[nodiscard]] const stream::Engine* engine(NodeId host) const noexcept {
+    const auto it = engines_.find(host);
+    return it == engines_.end() ? nullptr : it->second.get();
+  }
 
  private:
   /// The driver half of a federated run (defined in federation.cpp): the

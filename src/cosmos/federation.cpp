@@ -124,6 +124,7 @@ struct Cosmos::Fed {
   std::map<std::size_t, wire::TrafficReportMsg> traffic_reports;  ///< by worker
   std::vector<wire::StatsSampleMsg> samples_inbox;  ///< arrival order
   bool expect_close = false;  ///< set before kBye: closes are then orderly
+  std::set<std::size_t> hung_up;  ///< workers whose channel reader ended
   /// Recovery gate: armed once replicate() + the initial checkpoint are
   /// done (registration faults stay fatal). Guarded by mu because the
   /// reader-side mark_dead consults it.
@@ -425,6 +426,11 @@ struct Cosmos::Fed {
   }
 
   void on_close(std::size_t i, const std::string& err) {
+    {
+      std::lock_guard lock{mu};
+      hung_up.insert(i);
+    }
+    cv.notify_all();
     mark_dead(i, err.empty() ? std::string{"disconnected mid-session"} : err);
   }
 
@@ -656,13 +662,21 @@ struct Cosmos::Fed {
     return hello;
   }
 
+  /// Heartbeats stay off until hello_and_heartbeat(): a daemon drops a
+  /// connection whose first frame is not kHello.
   wire::FrameChannel::Options channel_options(std::size_t i) const {
     wire::FrameChannel::Options copts;
     copts.send_queue_capacity = options.queue_capacity;
     copts.send_delay_ms = link_delay(i);
-    copts.heartbeat_every_ms = options.liveness.heartbeat_every_ms;
     copts.liveness_deadline_ms = options.liveness.deadline_ms;
     return copts;
+  }
+
+  /// Queues worker i's kHello, then lets its channel heartbeat.
+  void hello_and_heartbeat(std::size_t i) {
+    workers[i].channel->send(wire::encode_hello(hello_for(i)));
+    workers[i].channel->set_liveness(options.liveness.heartbeat_every_ms,
+                                     options.liveness.deadline_ms);
   }
 
   /// The seq frontier of every engine hosted at worker `w`, in engine
@@ -687,11 +701,10 @@ struct Cosmos::Fed {
     workers.resize(n);
     worker_dead.assign(n, 0);
     retired.resize(n);
-    // Each channel gets its reader and its kHello as soon as it is dialed.
-    // A channel heartbeats once idle and its watchdog counts silence from
-    // construction, while a daemon drops a connection whose first frame is
-    // not kHello: a worker dialed first must not wait unserved while
-    // slower-starting daemons are still being dialed.
+    // Each channel gets its reader and its kHello as soon as it is dialed:
+    // its watchdog counts silence from construction, so a worker dialed
+    // first must not wait unserved while slower-starting daemons are
+    // still being dialed.
     for (std::size_t i = 0; i < n; ++i) {
       Worker& w = workers[i];
       w.endpoint = options.workers[i];
@@ -701,7 +714,7 @@ struct Cosmos::Fed {
       w.channel->start_reader(
           [this, i](wire::Frame f) { on_frame(i, std::move(f)); },
           [this, i](const std::string& err) { on_close(i, err); });
-      send(i, wire::encode_hello(hello_for(i)));
+      hello_and_heartbeat(i);
     }
     std::unique_lock lock{mu};
     wait_for(lock, [&] { return hello_acks.size() >= workers.size(); });
@@ -1315,6 +1328,7 @@ struct Cosmos::Fed {
     {
       std::lock_guard lock{mu};
       hello_acks.erase(i);
+      hung_up.erase(i);
       for (auto& [seq, acks] : flush_acks) acks.erase(i);
       std::erase_if(results_inbox,
                     [&](const InboxResult& r) { return r.worker == i; });
@@ -1351,7 +1365,7 @@ struct Cosmos::Fed {
         [this, i](const std::string& err) { on_close(i, err); });
 
     try {
-      w.channel->send(wire::encode_hello(hello_for(i)));
+      hello_and_heartbeat(i);
       for (const auto& f : reg_log) w.channel->send(f);
       {
         std::unique_lock lock{mu};
@@ -1822,8 +1836,17 @@ struct Cosmos::Fed {
       } catch (const std::exception&) {
         // Channel already dead; its fault was or will be reported.
       }
-      workers[w].channel->close();
     }
+    // Orderly close: a worker answers kBye with its last frames and hangs
+    // up. Shutting a socket down first would fail a worker still echoing
+    // an earlier heartbeat (EPIPE, exit 1), so wait — bounded, as a
+    // channel's close drain is — for every worker's EOF.
+    {
+      std::unique_lock lock{mu};
+      cv.wait_for(lock, std::chrono::seconds(5),
+                  [&] { return hung_up.size() >= workers.size(); });
+    }
+    for (auto& w : workers) w.channel->close();
     for (std::size_t i = 0; i < workers.size(); ++i) {
       const auto& w = workers[i];
       WireLinkStats link;

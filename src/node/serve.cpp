@@ -207,6 +207,10 @@ void NodeServer::drive_session(wire::Socket sock, wire::Frame hello_frame) {
       if (!frame) break;  // clean peer close
       keep_going = site_->handle(*frame, out);
     }
+    // Hang up now (the last frames drain first): after kBye the driver
+    // waits for this EOF before it shuts its side down. Peer threads that
+    // still emit get a closed-channel error, which they already handle.
+    channel->close();
   } catch (const std::exception& e) {
     ok = false;
     if (channel != nullptr) {

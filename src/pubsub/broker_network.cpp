@@ -1,14 +1,12 @@
 #include "pubsub/broker_network.h"
 
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace cosmos::pubsub {
 
 BrokerNetwork::BrokerNetwork(std::vector<NodeId> participants,
-                             const net::LatencyMatrix& lat, Options options)
-    : options_(options) {
+                             const net::LatencyMatrix& lat) {
   overlay_.participants = std::move(participants);
   overlay_.lat = &lat;
   const std::size_t n = overlay_.participants.size();
@@ -47,28 +45,28 @@ BrokerNetwork::BrokerNetwork(std::vector<NodeId> participants,
     }
   }
 
-  // Tree routing tables: BFS from each node.
+  // Tree routing tables and per-root parents-first orders: BFS from each
+  // node (the visit order is the order).
   overlay_.next_hop.assign(n, std::vector<std::size_t>(n, SIZE_MAX));
+  overlay_.order.assign(n, {});
   for (std::size_t src = 0; src < n; ++src) {
-    std::queue<std::size_t> q;
+    auto& order = overlay_.order[src];
+    order.reserve(n);
+    order.push_back(src);
     std::vector<char> seen(n, 0);
     seen[src] = 1;
     for (const auto nb : overlay_.adj[src]) {
       overlay_.next_hop[src][nb] = nb;
       seen[nb] = 1;
-      q.push(nb);
+      order.push_back(nb);
     }
-    std::vector<std::size_t> via(n, SIZE_MAX);
-    for (const auto nb : overlay_.adj[src]) via[nb] = nb;
-    while (!q.empty()) {
-      const auto u = q.front();
-      q.pop();
+    for (std::size_t head = 1; head < order.size(); ++head) {
+      const auto u = order[head];
       for (const auto v : overlay_.adj[u]) {
         if (seen[v]) continue;
         seen[v] = 1;
-        via[v] = via[u];
-        overlay_.next_hop[src][v] = via[v];
-        q.push(v);
+        overlay_.next_hop[src][v] = overlay_.next_hop[src][u];
+        order.push_back(v);
       }
     }
   }
@@ -76,8 +74,9 @@ BrokerNetwork::BrokerNetwork(std::vector<NodeId> participants,
 
 void BrokerNetwork::advertise(const std::string& stream, NodeId publisher,
                               stream::Schema schema) {
-  auto partition = std::make_unique<BrokerPartition>(
-      overlay_, stream, publisher, std::move(schema), options_.use_index);
+  auto partition = std::make_unique<BrokerPartition>(overlay_, stream,
+                                                     publisher,
+                                                     std::move(schema));
   // Subscriptions may predate the advertisement; replay them into the new
   // partition's index.
   if (const auto sit = by_stream_.find(stream); sit != by_stream_.end()) {
@@ -89,6 +88,13 @@ void BrokerNetwork::advertise(const std::string& stream, NodeId publisher,
     throw std::invalid_argument{"BrokerNetwork: stream already advertised: " +
                                 stream};
   }
+}
+
+void BrokerNetwork::unadvertise(const std::string& stream) {
+  const auto it = partitions_.find(stream);
+  if (it == partitions_.end()) return;
+  retired_traffic_.merge(it->second->traffic());
+  partitions_.erase(it);
 }
 
 const stream::Schema& BrokerNetwork::schema(const std::string& stream) const {
@@ -153,7 +159,10 @@ void BrokerNetwork::unsubscribe(SubscriptionId id) {
   const auto it = subscriptions_.find(id);
   if (it == subscriptions_.end()) return;
   for (const auto& s : it->second.streams) {
-    std::erase(by_stream_[s], id);
+    if (const auto bit = by_stream_.find(s); bit != by_stream_.end()) {
+      std::erase(bit->second, id);
+      if (bit->second.empty()) by_stream_.erase(bit);
+    }
     if (const auto pit = partitions_.find(s); pit != partitions_.end()) {
       pit->second->remove_subscription(id);
     }
@@ -169,38 +178,40 @@ std::vector<NodeId> BrokerNetwork::neighbors(NodeId n) const {
   return out;
 }
 
-void BrokerNetwork::publish(const std::string& stream,
-                            const stream::Tuple& tuple,
-                            const DeliveryCallback& callback) {
+BrokerPartition& BrokerNetwork::owner(const std::string& stream) {
   auto* part = partition(stream);
   if (part == nullptr) {
     throw std::invalid_argument{"BrokerNetwork: publish to unadvertised " +
                                 stream};
   }
-  part->match(tuple, callback);
+  return *part;
 }
 
 void BrokerNetwork::publish_batch(const std::string& stream,
                                   const runtime::TupleBatch& batch,
                                   const BatchDeliveryCallback& callback) {
-  auto* part = partition(stream);
-  if (part == nullptr) {
-    throw std::invalid_argument{"BrokerNetwork: publish to unadvertised " +
-                                stream};
-  }
   std::vector<BatchDelivery> deliveries;
-  part->match_batch(batch, deliveries);
+  owner(stream).match_batch(batch, deliveries);
   for (const auto& d : deliveries) callback(d);
 }
 
-TrafficStats BrokerNetwork::traffic() const {
-  TrafficStats out;
-  for (const auto& [name, p] : partitions_) out.merge(p->traffic());
-  return out;
+void BrokerNetwork::publish(const std::string& stream,
+                            const stream::Tuple& tuple,
+                            const DeliveryCallback& callback) {
+  auto& part = owner(stream);
+  runtime::TupleBatch row{stream};
+  row.push_back(tuple);
+  std::vector<BatchDelivery> deliveries;
+  part.match_batch(row, deliveries);
+  if (deliveries.empty()) return;
+  const Message message{stream, &part.schema(), tuple};
+  for (const auto& d : deliveries) callback(*d.sub, message);
 }
 
-void BrokerNetwork::reset_traffic() noexcept {
-  for (const auto& [name, p] : partitions_) p->reset_traffic();
+TrafficStats BrokerNetwork::traffic() const {
+  TrafficStats out = retired_traffic_;
+  for (const auto& [name, p] : partitions_) out.merge(p->traffic());
+  return out;
 }
 
 }  // namespace cosmos::pubsub

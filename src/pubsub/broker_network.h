@@ -1,25 +1,24 @@
-// A distributed content-based publish/subscribe substrate (Siena-style,
-// Section 1.2), simulated in-process over an overlay tree.
+// The content-based publish/subscribe substrate of Section 2, simulated
+// in-process over an overlay tree.
 //
-// Brokers sit on every participant node; the overlay is the latency-minimal
-// spanning tree of the participants. Publishers advertise streams; the
-// advertisement floods the tree so every broker knows which neighbor leads
-// to each stream's source. Subscriptions propagate from the subscriber
-// toward the advertisers, installing per-link routing state; covered
-// subscriptions are absorbed (not forwarded). Messages then flow along the
-// reverse subscription paths: one copy per link regardless of how many
-// downstream subscriptions want it, with attributes pruned to the union of
-// downstream projections (early projection + filtering).
+// Brokers sit on every participant node; the overlay is the
+// latency-minimal spanning tree of the participants. A publisher
+// advertises a stream, which creates the stream's BrokerPartition
+// (broker_partition.h); a subscription names the streams it wants, a
+// projection and a filter, and is installed at its subscriber's home
+// broker. Matching a batch evaluates every subscription of the stream
+// through one batch path, then sends each matched row once per tree link
+// toward the matched homes — one copy per link however many
+// subscriptions sit behind it, carrying the union of their projections
+// (early filtering and early projection). Link traffic is accounted as
+// bytes and as byte*ms (the weighted communication cost the prototype
+// study reports), per directed link and in total.
 //
-// Since PR 3, BrokerNetwork is a thin facade over per-stream
-// pubsub::BrokerPartition objects (broker_partition.h): each advertised
-// stream's subscription index, matching and traffic accounting live in its
-// own lock-free partition, so matching can run inside the runtime shard
-// that owns the stream's publishing engine while the facade merely builds
-// partitions, applies subscription updates, and merges their traffic
-// stats. All link traffic is accounted as bytes and as byte*ms (the
-// weighted communication cost the prototype study reports), per directed
-// link and in total.
+// BrokerNetwork is a thin facade over the per-stream partitions: each
+// partition's matching and accounting run lock-free on whichever thread
+// owns it (the runtime shard owning the stream's publishing engine in
+// Cosmos::run()), while the facade builds and retires partitions, applies
+// subscription updates, and merges their traffic.
 #pragma once
 
 #include <functional>
@@ -38,23 +37,14 @@ namespace cosmos::pubsub {
 
 class BrokerNetwork {
  public:
-  using DeliveryCallback = BrokerPartition::DeliveryCallback;
-
-  struct Options {
-    /// Decompose subscription filters into each partition's
-    /// attribute-predicate index (sublinear matching). Off = linear scan
-    /// over every subscription per row — the differential oracle
-    /// bench_match_scale and the pubsub churn test compare against.
-    bool use_index = true;
-  };
+  using DeliveryCallback =
+      std::function<void(const Subscription&, const Message&)>;
+  using BatchDeliveryCallback = std::function<void(const BatchDelivery&)>;
 
   /// Builds the overlay spanning tree over `participants` using latencies
   /// from `lat` (all participants must be members of `lat`).
   BrokerNetwork(std::vector<NodeId> participants,
-                const net::LatencyMatrix& lat, Options options);
-  BrokerNetwork(std::vector<NodeId> participants,
-                const net::LatencyMatrix& lat)
-      : BrokerNetwork(std::move(participants), lat, Options{}) {}
+                const net::LatencyMatrix& lat);
 
   // Partitions hold pointers into overlay_ and subscriptions_ (and shards
   // hold partition pointers during run()): the network must stay at one
@@ -67,6 +57,11 @@ class BrokerNetwork {
   /// subscriptions interested in it).
   void advertise(const std::string& stream, NodeId publisher,
                  stream::Schema schema);
+  /// Retires `stream`'s partition (no-op for unadvertised streams). The
+  /// traffic it accounted stays in traffic(); subscriptions that still
+  /// name the stream stay installed and are replayed if it is advertised
+  /// again.
+  void unadvertise(const std::string& stream);
 
   /// Installs a subscription at its subscriber node; returns its id.
   SubscriptionId subscribe(Subscription sub);
@@ -81,23 +76,18 @@ class BrokerNetwork {
   [[nodiscard]] const Subscription* subscription(
       SubscriptionId id) const noexcept;
 
-  /// Publishes a tuple from the stream's advertised publisher. Matching
-  /// subscriptions receive it via `callback`; link traffic is accounted.
-  void publish(const std::string& stream, const stream::Tuple& tuple,
-               const DeliveryCallback& callback);
-
-  using BatchDeliveryCallback = std::function<void(const BatchDelivery&)>;
-
-  /// Batched forwarding: publishes every row of `batch` with per-tuple
-  /// matching and link accounting identical to N publish() calls, but one
-  /// delivery per matching subscription carrying all of its rows at once
-  /// (callbacks fire after the whole batch is routed, in first-match
-  /// order). This is what lets the runtime hand whole batches to shard
-  /// engines instead of crossing the queue per tuple. Rows must be
-  /// timestamp-ordered (std::invalid_argument otherwise).
+  /// Publishes every row of `batch` from the stream's advertised
+  /// publisher (BrokerPartition::match_batch): link traffic is accounted,
+  /// and `callback` receives one delivery per matching subscription
+  /// carrying all of its rows, in first-match order, after the whole
+  /// batch is matched. Rows must be timestamp-ordered
+  /// (std::invalid_argument otherwise).
   void publish_batch(const std::string& stream,
                      const runtime::TupleBatch& batch,
                      const BatchDeliveryCallback& callback);
+  /// publish_batch() of a one-row batch, with a per-subscription callback.
+  void publish(const std::string& stream, const stream::Tuple& tuple,
+               const DeliveryCallback& callback);
 
   /// Partition owning `stream`, or nullptr if unadvertised. The runtime
   /// path uses this to run match_batch() inside shards; a partition must be
@@ -106,11 +96,10 @@ class BrokerNetwork {
   /// All partitions, ordered by stream name (deterministic).
   [[nodiscard]] std::vector<BrokerPartition*> partitions();
 
-  /// Traffic merged across every partition. Only meaningful while no other
-  /// thread is driving a partition (quiescent points: outside run(), or on
-  /// the driver after a drain).
+  /// Traffic merged across every partition, retired ones included. Only
+  /// meaningful while no other thread is driving a partition (quiescent
+  /// points: outside run(), or on the driver after a drain).
   [[nodiscard]] TrafficStats traffic() const;
-  void reset_traffic() noexcept;
 
   [[nodiscard]] const stream::Schema& schema(const std::string& stream) const;
 
@@ -129,6 +118,8 @@ class BrokerNetwork {
 
  private:
   void install(Subscription sub);
+  /// The partition publishing `stream`; std::invalid_argument otherwise.
+  BrokerPartition& owner(const std::string& stream);
 
   Overlay overlay_;
   /// stream name -> partition; std::map keeps partitions() deterministic,
@@ -140,7 +131,8 @@ class BrokerNetwork {
   /// not advertised yet; advertise() replays these into the partition).
   std::unordered_map<std::string, std::vector<SubscriptionId>> by_stream_;
   SubscriptionId::value_type next_sub_id_ = 0;
-  Options options_;
+  /// What unadvertised partitions accounted before they were retired.
+  TrafficStats retired_traffic_;
 };
 
 }  // namespace cosmos::pubsub

@@ -1,10 +1,21 @@
 #include "pubsub/broker_partition.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace cosmos::pubsub {
+
+namespace {
+
+constexpr std::uint64_t kHeaderBytes = 16;
+constexpr std::uint64_t kFixedWidthBytes = 8;
+
+void set_bit(std::uint64_t* mask, std::size_t bit) {
+  mask[bit / 64] |= std::uint64_t{1} << (bit % 64);
+}
+
+}  // namespace
 
 void TrafficStats::merge(const TrafficStats& other) {
   bytes += other.bytes;
@@ -27,20 +38,28 @@ std::size_t Overlay::index_of(NodeId n) const {
 }
 
 BrokerPartition::BrokerPartition(const Overlay& overlay, std::string stream,
-                                 NodeId publisher, stream::Schema schema,
-                                 bool use_index)
+                                 NodeId publisher, stream::Schema schema)
     : overlay_(&overlay),
       stream_(std::move(stream)),
       publisher_(publisher),
       publisher_idx_(overlay.index_of(publisher)),
       schema_(std::move(schema)),
-      use_index_(use_index),
-      index_(&schema_) {}
+      mask_words_(schema_.size() / 64 + 1),
+      fixed_cols_(mask_words_, 0),
+      string_cols_(mask_words_, 0),
+      index_(&schema_) {
+  for (std::size_t i = 0; i < schema_.size(); ++i) {
+    set_bit(schema_.field(i).type == stream::ValueType::kString
+                ? string_cols_.data()
+                : fixed_cols_.data(),
+            i);
+  }
+}
 
 void BrokerPartition::add_subscription(const Subscription* sub) {
   // Compile once per subscribe. Lenient: a filter referencing attributes
-  // this stream lacks throws std::invalid_argument per evaluated row, which
-  // filter_matches turns into "no match" — the interpreter's contract
+  // this stream lacks evaluates to "no match" through
+  // filter_batch_unresolved_false — the interpreter's contract
   // (Subscription::matches) row for row.
   MatchedSub entry{sub, overlay_->index_of(sub->subscriber),
                    stream::CompiledPredicate::compile_lenient(
@@ -53,17 +72,27 @@ void BrokerPartition::add_subscription(const Subscription* sub) {
   } else {
     slot = static_cast<SubscriptionIndex::Slot>(subs_.size());
     subs_.push_back(std::move(entry));
+    masks_.resize(subs_.size() * mask_words_);
+  }
+  std::uint64_t* mask = &masks_[std::size_t{slot} * mask_words_];
+  std::fill(mask, mask + mask_words_, 0);
+  set_bit(mask, schema_.size());  // the row travels, whatever it carries
+  for (std::size_t i = 0; i < schema_.size(); ++i) {
+    if (sub->projection.empty() ||
+        sub->projection.contains(schema_.field(i).name)) {
+      set_bit(mask, i);
+    }
   }
   slot_of_.emplace(sub->id, slot);
   ++live_count_;
-  if (use_index_) index_.add(slot, sub->filter, subs_[slot].filter);
+  index_.add(slot, sub->filter, subs_[slot].filter);
 }
 
 void BrokerPartition::remove_subscription(SubscriptionId id) {
   const auto [first, last] = slot_of_.equal_range(id);
   for (auto it = first; it != last; ++it) {
     const auto slot = it->second;
-    if (use_index_) index_.remove(slot);
+    index_.remove(slot);
     subs_[slot] = {};
     free_slots_.push_back(slot);
     --live_count_;
@@ -71,80 +100,27 @@ void BrokerPartition::remove_subscription(SubscriptionId id) {
   slot_of_.erase(first, last);
 }
 
-bool BrokerPartition::filter_matches(
-    const MatchedSub& entry, const stream::CompiledPredicate::Row& row) {
-  // A filter referencing attributes this message lacks matches nothing —
-  // the interpreter's contract (Subscription::matches), evaluated without
-  // a per-row exception unwind.
-  return entry.filter.eval_unresolved_false(&row);
-}
-
-void BrokerPartition::match(const stream::Tuple& tuple,
-                            const DeliveryCallback& callback) {
-  if (live_count_ == 0) return;
-  const stream::CompiledPredicate::Row row{tuple.ts, tuple.values.data(),
-                                           tuple.values.size()};
-  matched_.clear();
-  matched_slots_.clear();
-  if (use_index_) {
-    index_.probe(row, matched_slots_);
-    // Candidates owe their residual; the anchor itself already held.
-    std::erase_if(matched_slots_, [this, &row](SubscriptionIndex::Slot s) {
-      const auto* res = index_.residual(s);
-      return res != nullptr && !res->eval(&row);
-    });
-    for (const auto slot : index_.scan_slots()) {
-      if (filter_matches(subs_[slot], row)) matched_slots_.push_back(slot);
-    }
-    // Deliveries fire in slot order, exactly like the linear scan.
-    std::sort(matched_slots_.begin(), matched_slots_.end());
-    for (const auto slot : matched_slots_) matched_.push_back(&subs_[slot]);
-  } else {
-    for (const auto& entry : subs_) {
-      if (entry.sub != nullptr && filter_matches(entry, row)) {
-        matched_.push_back(&entry);
-      }
-    }
-  }
-  if (matched_.empty()) return;
-  Message message{stream_, &schema_, tuple};
-  route(message, publisher_idx_, SIZE_MAX, matched_, callback);
-}
-
 void BrokerPartition::match_rows(const runtime::TupleBatch& batch) {
   const std::size_t slots = subs_.size();
   if (rows_of_.size() < slots) rows_of_.resize(slots);
+  if (cand_rows_.size() < slots) cand_rows_.resize(slots);
   active_.clear();
-  if (use_index_) {
-    if (cand_rows_.size() < slots) cand_rows_.resize(slots);
-    touched_.clear();
-    index_.probe_batch(batch, cand_rows_, touched_);
-    for (const auto slot : touched_) {
-      auto& cand = cand_rows_[slot];
-      if (const auto* res = index_.residual(slot)) {
-        res->filter_batch(batch, &cand, rows_of_[slot]);
-      } else {
-        std::swap(rows_of_[slot], cand);
-      }
-      cand.clear();
-      if (!rows_of_[slot].empty()) active_.push_back(slot);
+  touched_.clear();
+  index_.probe_batch(batch, cand_rows_, touched_);
+  for (const auto slot : touched_) {
+    auto& cand = cand_rows_[slot];
+    if (const auto* res = index_.residual(slot)) {
+      res->filter_batch(batch, &cand, rows_of_[slot]);
+    } else {
+      std::swap(rows_of_[slot], cand);
     }
-    for (const auto slot : index_.scan_slots()) {
-      subs_[slot].filter.filter_batch_unresolved_false(batch, nullptr,
-                                                       rows_of_[slot]);
-      if (!rows_of_[slot].empty()) active_.push_back(slot);
-    }
-    std::sort(active_.begin(), active_.end());
-    return;
+    cand.clear();
+    if (!rows_of_[slot].empty()) active_.push_back(slot);
   }
-  // Linear oracle: every live slot's compiled filter over the whole batch.
-  for (std::size_t s = 0; s < slots; ++s) {
-    const MatchedSub& entry = subs_[s];
-    if (entry.sub == nullptr) continue;
-    entry.filter.filter_batch_unresolved_false(batch, nullptr, rows_of_[s]);
-    if (!rows_of_[s].empty()) {
-      active_.push_back(static_cast<SubscriptionIndex::Slot>(s));
-    }
+  for (const auto slot : index_.scan_slots()) {
+    subs_[slot].filter.filter_batch_unresolved_false(batch, nullptr,
+                                                     rows_of_[slot]);
+    if (!rows_of_[slot].empty()) active_.push_back(slot);
   }
 }
 
@@ -164,93 +140,97 @@ void BrokerPartition::match_batch(const runtime::TupleBatch& batch,
       }
     }
   }
-  // No subscriptions: nothing can match, route, or be accounted — skip the
-  // per-row materialization entirely (as the scalar path does).
   if (live_count_ == 0) return;
 
-  // Stage 1 — candidate generation + residual (index path) or full-filter
-  // evaluation (scan list, linear oracle), producing one ascending row
-  // list per matched slot. Those lists are also exactly the BatchDelivery
-  // row sets.
+  // Stage 1 — one ascending row list per matched slot: exactly the
+  // BatchDelivery row sets.
   match_rows(batch);
   if (active_.empty()) return;
 
-  // Stage 2 — invert the per-slot row lists into per-row matched-slot
-  // lists (one pass over the matches, not a per-row scan of every
-  // subscription), then route and account row by row, identical to
-  // row-count scalar match() calls: deliveries appear in first-match
-  // order, rows no subscription matched are never materialized.
-  const std::size_t first_delivery = deliveries.size();
+  // Stage 2 — invert the per-slot row lists into per-row slot lists (one
+  // pass over the matches) and account each matched row.
   if (row_subs_.size() < batch.size()) row_subs_.resize(batch.size());
-  for (const auto slot : active_) {  // ascending => per-row lists ascending
+  for (const auto slot : active_) {
     for (const auto r : rows_of_[slot]) row_subs_[r].push_back(slot);
   }
-  std::unordered_map<SubscriptionId, std::size_t> delivery_of;
-  Message message{stream_, &schema_, {}};
   for (std::uint32_t row = 0; row < batch.size(); ++row) {
     auto& here = row_subs_[row];
     if (here.empty()) continue;
-    matched_.clear();
-    for (const auto slot : here) {
-      matched_.push_back(&subs_[slot]);
-      auto [dit, fresh] = delivery_of.try_emplace(
-          subs_[slot].sub->id, deliveries.size() - first_delivery);
-      if (fresh) deliveries.push_back({subs_[slot].sub, &batch, {}});
-      deliveries[first_delivery + dit->second].rows.push_back(row);
-    }
+    account(batch, row, here);
     here.clear();
-    batch.materialize(row, message.tuple);
-    route(message, publisher_idx_, SIZE_MAX, matched_,
-          [](const Subscription&, const Message&) {});
   }
-  for (const auto slot : active_) rows_of_[slot].clear();
+
+  // Stage 3 — deliveries in first-match order: by first matched row, ties
+  // by slot.
+  std::sort(active_.begin(), active_.end(),
+            [this](SubscriptionIndex::Slot a, SubscriptionIndex::Slot b) {
+              return std::pair{rows_of_[a].front(), a} <
+                     std::pair{rows_of_[b].front(), b};
+            });
+  for (const auto slot : active_) {
+    deliveries.push_back({subs_[slot].sub, &batch, std::move(rows_of_[slot])});
+    rows_of_[slot].clear();
+  }
 }
 
-void BrokerPartition::route(const Message& message, std::size_t at,
-                            std::size_t came_from,
-                            const std::vector<const MatchedSub*>& matched,
-                            const DeliveryCallback& callback) {
-  // Local delivery.
-  for (const auto* m : matched) {
-    if (m->home == at) callback(*m->sub, message);
+void BrokerPartition::account(
+    const runtime::TupleBatch& batch, std::uint32_t row,
+    const std::vector<SubscriptionIndex::Slot>& slots) {
+  const std::size_t words = mask_words_;
+  const std::size_t nodes = overlay_->participants.size();
+  // Node-major column masks of what each subtree wants. Scratch per
+  // thread, not per partition: partitions stay O(subscriptions).
+  thread_local std::vector<std::uint64_t> wanted;
+  wanted.assign(nodes * words, 0);
+  for (const auto slot : slots) {
+    std::uint64_t* home = &wanted[subs_[slot].home * words];
+    const std::uint64_t* mask = &masks_[std::size_t{slot} * words];
+    for (std::size_t w = 0; w < words; ++w) home[w] |= mask[w];
   }
-  // Forward to each neighbor leading to at least one interested
-  // subscription, with attributes pruned to the union of their projections
-  // (early projection; one copy per link regardless of fan-out behind it).
-  static const std::set<std::string> kAllAttrs;
-  for (const auto nb : overlay_->adj[at]) {
-    if (nb == came_from) continue;
-    // route_attrs_ is a member scratch: its use completes (message_bytes)
-    // before the recursive call below reuses it, and each neighbor
-    // iteration re-clears it — no per-row per-neighbor set allocation.
-    route_attrs_.clear();
-    bool wants_all = false;
-    bool any = false;
-    for (const auto* m : matched) {
-      if (m->home == at || overlay_->next_hop[at][m->home] != nb) continue;
-      any = true;
-      if (m->sub->projection.empty()) {
-        wants_all = true;
-      } else if (!wants_all) {
-        route_attrs_.insert(m->sub->projection.begin(),
-                            m->sub->projection.end());
+  if (links_.empty()) links_.resize(nodes);
+  // Children first: by the time v is reached, its subtree is folded in.
+  const auto& order = overlay_->order[publisher_idx_];
+  for (std::size_t i = order.size() - 1; i > 0; --i) {
+    const std::size_t v = order[i];
+    const std::uint64_t* mask = &wanted[v * words];
+    if (std::all_of(mask, mask + words,
+                    [](std::uint64_t m) { return m == 0; })) {
+      continue;
+    }
+    std::uint64_t* parent =
+        &wanted[overlay_->next_hop[v][publisher_idx_] * words];
+    std::uint64_t bytes = kHeaderBytes;
+    for (std::size_t w = 0; w < words; ++w) {
+      parent[w] |= mask[w];
+      bytes += kFixedWidthBytes * static_cast<std::uint64_t>(
+                                      std::popcount(mask[w] & fixed_cols_[w]));
+      for (std::uint64_t s = mask[w] & string_cols_[w]; s != 0; s &= s - 1) {
+        const auto col =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(s));
+        bytes += batch.at(row, col).as_string().size();
       }
     }
-    if (!any) continue;
-    const double bytes =
-        message_bytes(message, wants_all ? kAllAttrs : route_attrs_);
-    const double latency = overlay_->lat->latency(overlay_->participants[at],
-                                                  overlay_->participants[nb]);
-    traffic_.bytes += bytes;
-    traffic_.weighted_cost += bytes * latency;
-    ++traffic_.messages_sent;
-    auto& link = traffic_.links[{overlay_->participants[at],
-                                 overlay_->participants[nb]}];
-    link.bytes += bytes;
-    link.weighted_cost += bytes * latency;
-    ++link.messages_sent;
-    route(message, nb, at, matched, callback);
+    links_[v].bytes += bytes;
+    ++links_[v].messages;
   }
+}
+
+TrafficStats BrokerPartition::traffic() const {
+  TrafficStats out;
+  for (std::size_t v = 0; v < links_.size(); ++v) {
+    if (links_[v].messages == 0) continue;
+    const NodeId from =
+        overlay_->participants[overlay_->next_hop[v][publisher_idx_]];
+    const NodeId to = overlay_->participants[v];
+    const auto bytes = static_cast<double>(links_[v].bytes);
+    const double cost = bytes * overlay_->lat->latency(from, to);
+    out.links.emplace(std::make_pair(from, to),
+                      LinkTraffic{bytes, cost, links_[v].messages});
+    out.bytes += bytes;
+    out.weighted_cost += cost;
+    out.messages_sent += links_[v].messages;
+  }
+  return out;
 }
 
 }  // namespace cosmos::pubsub

@@ -6,8 +6,6 @@
 // predicate evaluated against each message's tuple.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -27,29 +25,17 @@ struct Subscription {
   /// Filter over the message tuple (the F part).
   stream::PredicatePtr filter = stream::Predicate::always_true();
 
-  [[nodiscard]] bool wants_stream(const std::string& stream) const noexcept {
-    return streams.contains(stream);
-  }
   /// True if the tuple passes the filter (schema = message schema).
   [[nodiscard]] bool matches(const stream::Schema& schema,
                              const stream::Tuple& tuple) const;
 };
 
-/// A published message: a tuple on a named stream with a known schema.
+/// A published message: a tuple on a named stream with a known schema
+/// (what BrokerNetwork::publish hands its per-subscription callback).
 struct Message {
   std::string stream;
   const stream::Schema* schema = nullptr;
   stream::Tuple tuple;
 };
-
-/// Serialized size in bytes of the tuple restricted to `attrs` (empty =
-/// all): 8 bytes per numeric, string length for strings, plus a fixed
-/// header. This drives the traffic accounting.
-[[nodiscard]] double message_bytes(const Message& message,
-                                   const std::set<std::string>& attrs);
-
-/// True if subscription `a` covers `b`: any message matching `b` also
-/// matches `a` (sound, not complete — used for routing-table compaction).
-[[nodiscard]] bool covers(const Subscription& a, const Subscription& b);
 
 }  // namespace cosmos::pubsub

@@ -209,21 +209,6 @@ void SubscriptionIndex::remove(Slot slot) {
   locators_.erase(it);
 }
 
-void SubscriptionIndex::probe(const stream::CompiledPredicate::Row& row,
-                              std::vector<Slot>& out) const {
-  for (const auto& [col, cidx] : columns_) {
-    if (col == stream::FieldSlot::kTsCol) {
-      for_candidates(cidx, Value{static_cast<std::int64_t>(row.ts)},
-                     [&out](Slot s) { out.push_back(s); });
-    } else if (col < row.width) {
-      // Anchors on columns the row lacks match nothing (the oracle throws
-      // on such schema-violating rows; see the header's divergence note).
-      for_candidates(cidx, row.values[col],
-                     [&out](Slot s) { out.push_back(s); });
-    }
-  }
-}
-
 void SubscriptionIndex::probe_batch(
     const runtime::TupleBatch& batch,
     std::vector<std::vector<std::uint32_t>>& candidates,

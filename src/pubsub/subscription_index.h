@@ -1,11 +1,11 @@
-// Attribute-predicate index over compiled subscription filters: the
-// sublinear half of BrokerPartition matching.
+// Attribute-predicate index over compiled subscription filters: how
+// BrokerPartition::match_batch avoids evaluating every subscription's
+// filter on every row (Θ(subs × rows) even when almost nothing matches).
 //
-// Linear matching evaluates every subscription's compiled filter on every
-// row — Θ(subs × rows) even when almost nothing matches. This index makes
-// the common filter shapes probeable by indexing the *predicates
-// themselves*: at add() time the filter's top-level conjunction is
-// decomposed (stream::split_const_conjuncts) and one anchor is indexed —
+// The index makes the common filter shapes probeable by indexing the
+// *predicates themselves*: at add() time the filter's top-level
+// conjunction is decomposed (stream::split_const_conjuncts) and one anchor
+// is indexed —
 //
 //  - a single-column `== constant` conjunct goes into a per-column hash
 //    table keyed by the constant (numeric constants through their double
@@ -24,10 +24,11 @@
 //    with no usable constant conjunct, statically ill-typed trees) stays
 //    on a small scan-list fallback the partition evaluates in full.
 //
-// A probe yields *candidates*: slots whose anchor conjuncts provably hold
-// on the row. Anchors are re-verified with exact Value semantics, so the
-// double sort/hash keys only ever over-approximate (int constants beyond
-// 2^53 bucket by their rounded double but never false-match). The caller
+// probe_batch() walks the batch column by column and yields *candidates*:
+// slots whose anchor conjuncts provably hold on the row. Anchors are
+// re-verified with exact Value semantics, so the double sort/hash keys only
+// ever over-approximate (int constants beyond 2^53 bucket by their rounded
+// double but never false-match). The caller
 // then runs each candidate's compiled residual — the filter minus the
 // anchored conjuncts, in original order — which keeps match results
 // identical to evaluating the full filter row by row. Known divergence, by
@@ -35,9 +36,9 @@
 // runtime value type contradicting the declared column type, or rows
 // narrower than the schema) full evaluation may throw where the index
 // reports no match; indexing is gated on statically well-typed
-// conjunctions, so conforming rows cannot tell the difference. The linear
-// path stays available behind BrokerPartition's use_index flag as the
-// differential oracle.
+// conjunctions, so conforming rows cannot tell the difference. The pub/sub
+// differential tests check matching against an interpreted linear scan
+// (tests/support/reference_match.h).
 #pragma once
 
 #include <algorithm>
@@ -90,12 +91,6 @@ class SubscriptionIndex {
     const auto it = residuals_.find(slot);
     return it == residuals_.end() ? nullptr : &it->second;
   }
-
-  /// Scalar probe: appends every indexed slot whose anchor holds on `row`
-  /// (unsorted; candidates still owe their residual check). Scan-list
-  /// slots are not appended.
-  void probe(const stream::CompiledPredicate::Row& row,
-             std::vector<Slot>& out) const;
 
   /// Batch probe, column-at-a-time: candidates[slot] receives the
   /// ascending row ids whose anchor held, `touched` the slots that got any

@@ -29,6 +29,8 @@ class Engine {
 
   /// Registers a stream; throws std::invalid_argument on duplicate name.
   void register_stream(const std::string& name, Schema schema);
+  /// Removes a stream and its taps (no-op for unknown names).
+  void remove_stream(const std::string& name) { streams_.erase(name); }
 
   [[nodiscard]] bool has_stream(const std::string& name) const noexcept {
     return streams_.contains(name);

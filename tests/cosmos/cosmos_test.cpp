@@ -1,14 +1,17 @@
 // End-to-end middleware tests: submission, merging, p1/p2 subscription
-// wiring, traffic accounting.
+// wiring, result-stream retirement, traffic accounting.
 #include "cosmos/cosmos.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cql/parser.h"
 #include "net/topology.h"
 #include "sim/sensor_trace.h"
+#include "support/reference_match.h"
 
 namespace cosmos::middleware {
 namespace {
@@ -133,6 +136,75 @@ TEST(Cosmos, SharingReducesTraffic) {
     f.feed(*sys, 120, 8);
   }
   EXPECT_LT(shared->traffic().bytes, solo->traffic().bytes);
+}
+
+std::vector<std::string> partition_names(Cosmos& sys) {
+  std::vector<std::string> names;
+  for (auto* part : sys.broker().partitions()) names.push_back(part->stream());
+  return names;
+}
+
+TEST(Cosmos, MergeRetiresTheOldResultStream) {
+  Fixture f;
+  auto sys = f.make();
+  sys->submit(Fixture::q3(NodeId{3}), NodeId{1},
+              [](QueryId, const stream::Tuple&) {});
+  const auto before = partition_names(*sys);
+  // Two sources + the unit's result stream (std::map order: 'S' < 'c').
+  ASSERT_EQ(before.size(), 3u);
+  const std::string old_result = before.back();
+  ASSERT_EQ(old_result.rfind("cosmos.result.", 0), 0u);
+
+  sys->submit(Fixture::q4(NodeId{4}), NodeId{1},
+              [](QueryId, const stream::Tuple&) {});
+  ASSERT_EQ(sys->deployed_units(), 1u);
+  // Exactly the sources plus the live unit: the merged-away version is
+  // gone from the broker and from the host engine.
+  const auto after = partition_names(*sys);
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[0], "Station1");
+  EXPECT_EQ(after[1], "Station2");
+  const std::string new_result = after[2];
+  EXPECT_NE(new_result, old_result);
+  const auto* engine = sys->engine(NodeId{1});
+  ASSERT_NE(engine, nullptr);
+  EXPECT_FALSE(engine->has_stream(old_result));
+  EXPECT_TRUE(engine->has_stream(new_result));
+}
+
+TEST(Cosmos, MergeBetweenPushesKeepsAccountedTraffic) {
+  Fixture f;
+  auto sys = f.make();
+  std::size_t results = 0;
+  const auto count = [&results](QueryId, const stream::Tuple&) { ++results; };
+  sys->submit(Fixture::q3(NodeId{3}), NodeId{1}, count);
+
+  sim::SensorTraceParams p;
+  p.stations = 2;
+  p.readings_per_station = 120;
+  Rng rng{8};
+  const auto trace = sim::make_sensor_trace(p, rng);
+  const auto push = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      sys->push(sim::station_stream_name(trace[i].station), trace[i].tuple);
+    }
+  };
+  push(0, trace.size() / 2);
+  const auto before = sys->traffic();
+  ASSERT_GT(results, 0u);
+  ASSERT_FALSE(before.links.empty());
+
+  // The merge retires the first version's result stream; what it carried
+  // stays in the totals, link by link.
+  sys->submit(Fixture::q4(NodeId{4}), NodeId{1}, count);
+  ASSERT_EQ(sys->deployed_units(), 1u);
+  EXPECT_EQ(pubsub::testsupport::link_traffic_diff(sys->traffic(), before),
+            "");
+
+  const std::size_t results_mid = results;
+  push(trace.size() / 2, trace.size());
+  EXPECT_GT(results, results_mid);
+  EXPECT_GT(sys->traffic().bytes, before.bytes);
 }
 
 TEST(Cosmos, RejectsDuplicateIds) {

@@ -18,6 +18,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -26,9 +27,12 @@
 #include <vector>
 
 #include "cosmos/cosmos.h"
+#include "journal/journal.h"
 #include "node/spawn.h"
 #include "support/random_workload.h"
 #include "support/reference_eval.h"
+#include "support/reference_match.h"
+#include "wire/messages.h"
 
 namespace cosmos::middleware {
 namespace {
@@ -120,13 +124,13 @@ TEST(Federation, MatchesPushAcrossWorkerCountsAndWindows) {
 TEST(Federation, TrafficAccountingMatchesInProcess) {
   const auto w = make_workload(3);
   ResultLog in_log;
-  double in_bytes = 0.0;
+  pubsub::TrafficStats in_traffic;
   {
     auto sys = build_system(w, in_log);
     for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
-    in_bytes = sys->traffic().bytes;
+    in_traffic = sys->traffic();
   }
-  ASSERT_GT(in_bytes, 0.0);
+  ASSERT_GT(in_traffic.bytes, 0.0);
 
   auto fleet = spawn_fleet(2, "traffic");
   ResultLog fed_log;
@@ -135,8 +139,70 @@ TEST(Federation, TrafficAccountingMatchesInProcess) {
   opts.workers = fleet.endpoints;
   const auto report = sys->run_federated(w.events, opts);
   // Worker p1 shares + driver p2 share must reproduce the in-process
-  // broker's totals exactly (same matching, same accounting code).
-  EXPECT_DOUBLE_EQ(report.federation.matched_traffic.bytes, in_bytes);
+  // broker's traffic exactly, link by link (same matching, same
+  // accounting code).
+  EXPECT_EQ(pubsub::testsupport::link_traffic_diff(
+                report.federation.matched_traffic, in_traffic),
+            "");
+  EXPECT_EQ(fed_log, in_log);
+  for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
+}
+
+TEST(Federation, MergingWorkloadRegistersOnlyLiveStreams) {
+  // Submits that merge units: each merge retires a result stream
+  // version, and replicate() must register (and journal) only the sources
+  // — result streams stay driver-side.
+  auto w = make_workload(1);
+  w.queries = {
+      {"SELECT S2.* FROM Station1 [Range 30 Minutes] S1, Station2 [Now] S2 "
+       "WHERE S1.snowHeight > S2.snowHeight AND S1.snowHeight >= 10",
+       NodeId{2}, NodeId{3}},
+      {"SELECT S1.snowHeight, S1.timestamp, S2.snowHeight, S2.timestamp "
+       "FROM Station1 [Range 1 Hour] S1, Station2 [Now] S2 "
+       "WHERE S1.snowHeight > S2.snowHeight",
+       NodeId{2}, NodeId{4}},
+      {"SELECT * FROM Station3 [Now] S1 WHERE S1.snowHeight > 20.0",
+       NodeId{3}, NodeId{5}},
+      {"SELECT * FROM Station3 [Now] S1 WHERE S1.snowHeight > 5.0",
+       NodeId{3}, NodeId{2}}};
+  ResultLog push_log;
+  {
+    auto sys = build_system(w, push_log);
+    for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
+  }
+
+  std::string dir = "/tmp/cosmos_fedtest_journal_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  auto fleet = spawn_fleet(2, "live");
+  ResultLog fed_log;
+  std::set<std::string> sources;
+  {
+    auto sys = build_system(w, fed_log);
+    for (auto* part : sys->broker().partitions()) {
+      if (part->stream().rfind("cosmos.result.", 0) != 0) {
+        sources.insert(part->stream());
+      }
+    }
+    ASSERT_EQ(sys->deployed_units(), 2u);  // both pairs merged
+    ASSERT_EQ(sys->broker().partitions().size(),
+              sources.size() + sys->deployed_units());
+    Cosmos::FederationOptions opts;
+    opts.workers = fleet.endpoints;
+    opts.journal.dir = dir;
+    (void)sys->run_federated(w.events, opts);
+  }
+  EXPECT_EQ(fed_log, push_log);
+  for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
+
+  std::set<std::string> registered;
+  for (const auto& frame : journal::recover(dir).registrations) {
+    if (frame.type == wire::FrameType::kRegisterStream) {
+      registered.insert(wire::decode_register_stream(frame).stream);
+    }
+  }
+  EXPECT_EQ(registered, sources);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(Federation, ScriptedMigrationShipsStateAndPreservesResults) {

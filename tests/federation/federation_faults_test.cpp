@@ -234,6 +234,34 @@ TEST(FederationFaults, SlowLinkIsNotDeclaredDead) {
   for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
 }
 
+TEST(FederationFaults, SessionCloseWaitsForWorkersToHangUp) {
+  // A 1 ms heartbeat keeps probes in flight up to kBye, and a trickled
+  // worker->driver link keeps each worker behind on echoing them. Closing
+  // the sockets right after kBye would make a worker's next echo fail with
+  // EPIPE and the worker exit 1; the driver must wait for each worker to
+  // hang up, so every worker exits 0.
+  auto w = make_workload(4);
+  w.events.resize(40);
+  const auto push_log = push_baseline(w);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    auto fleet =
+        spawn_fleet(2, "bye", {"--fault-driver", "send:trickle@ms=10"});
+    ResultLog fed_log;
+    auto sys = build_system(w, fed_log);
+    Cosmos::FederationOptions opts;
+    opts.workers = fleet.endpoints;
+    opts.batch_size = 16;
+    opts.tick_ms = 20 * 60'000;
+    opts.liveness.heartbeat_every_ms = 1;
+    opts.liveness.deadline_ms = 2'000;
+    const auto report = sys->run_federated(w.events, opts);
+    EXPECT_EQ(report.federation.recoveries, 0u);
+    ASSERT_EQ(fed_log, push_log);
+    for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
+  }
+}
+
 TEST(FederationFaults, CorruptFrameTriggersRecovery) {
   // One corrupted header byte on the driver->worker link: the worker's
   // strict decoder rejects the frame, reports kError, and dies; the driver

@@ -8,7 +8,8 @@
 // with the multi-process federation differential); each is checked
 // against the reference, then replayed through every configuration in the
 // {1,4,8} shards x {1,64,1024} batch x {adapt off, adapt on} grid, diffing
-// the full result logs against push().
+// the full result logs against push(), and its broker traffic against
+// push()'s on every directed link (bytes and message counts).
 //
 // On failure the seed and configuration are printed; replay one seed with
 //   COSMOS_DIFF_SEED=<seed> ./tests_integration_differential_test
@@ -25,6 +26,7 @@
 #include "obs/trace.h"
 #include "support/random_workload.h"
 #include "support/reference_eval.h"
+#include "support/reference_match.h"
 
 namespace cosmos::middleware {
 namespace {
@@ -47,9 +49,11 @@ TEST(Differential, RunMatchesPushAcrossShardsBatchesAndAdaptation) {
     const auto w = make_workload(seed);
 
     ResultLog push_log;
+    pubsub::TrafficStats push_traffic;
     {
       auto sys = build_system(w, push_log);
       for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
+      push_traffic = sys->traffic();
     }
     for (const auto& [q, lines] : push_log) total_results += lines.size();
     ASSERT_EQ(push_log, reference_log(w))
@@ -80,6 +84,11 @@ TEST(Differential, RunMatchesPushAcrossShardsBatchesAndAdaptation) {
               << " shards=" << shards << " batch=" << batch
               << " adapt=" << (adapt_on ? "on" : "off")
               << "  (replay: COSMOS_DIFF_SEED=" << seed << ")";
+          ASSERT_EQ(pubsub::testsupport::link_traffic_diff(sys->traffic(),
+                                                           push_traffic),
+                    "")
+              << "traffic mismatch: seed=" << seed << " shards=" << shards
+              << " batch=" << batch;
         }
       }
     }

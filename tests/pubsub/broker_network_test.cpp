@@ -8,6 +8,7 @@
 
 #include "net/topology.h"
 #include "sim/sensor_trace.h"
+#include "support/reference_match.h"
 
 namespace cosmos::pubsub {
 namespace {
@@ -134,27 +135,14 @@ TEST(BrokerNetwork, RejectsUnknowns) {
   EXPECT_THROW(net.schema("other"), std::out_of_range);
 }
 
-TEST(Subscription, CoversRelation) {
-  Subscription wide;
-  wide.streams = {"A", "B"};
-  wide.filter = stream::Predicate::cmp({"", "x"}, stream::CmpOp::kGt,
-                                       stream::Value{1});
-  Subscription narrow;
-  narrow.streams = {"A"};
-  narrow.filter = stream::Predicate::conj(
-      {stream::Predicate::cmp({"", "x"}, stream::CmpOp::kGt,
-                              stream::Value{1}),
-       stream::Predicate::cmp({"", "y"}, stream::CmpOp::kLt,
-                              stream::Value{5})});
-  EXPECT_TRUE(covers(wide, narrow));
-  EXPECT_FALSE(covers(narrow, wide));
-  EXPECT_TRUE(covers(wide, wide));
-}
-
 // --- publish_batch edge cases -----------------------------------------
-// The batched path must be indistinguishable from N scalar publishes in
-// both deliveries and per-link traffic accounting (the invariant the
-// runtime's shard-side matching relies on).
+// publish() is a one-row publish_batch(); both must agree with the
+// linear-scan reference (tests/support/reference_match.h) in deliveries
+// and per-link traffic.
+
+using testsupport::link_traffic_diff;
+using testsupport::ReferenceDelivery;
+using testsupport::ReferenceMatcher;
 
 runtime::TupleBatch make_batch(
     const std::vector<std::pair<stream::Timestamp, double>>& rows) {
@@ -196,7 +184,9 @@ TEST(BrokerNetworkBatch, SingleRowBatchEqualsScalarPublishPerLink) {
   scalar.subscribe(height_sub(NodeId{3}, 10.0));
   std::size_t scalar_deliveries = 0;
   scalar.publish("S", tuple,
-                 [&](const Subscription&, const Message&) {
+                 [&](const Subscription&, const Message& m) {
+                   EXPECT_EQ(m.tuple.ts, tuple.ts);
+                   EXPECT_EQ(m.tuple.values, tuple.values);
                    ++scalar_deliveries;
                  });
 
@@ -209,11 +199,17 @@ TEST(BrokerNetworkBatch, SingleRowBatchEqualsScalarPublishPerLink) {
                           rows_delivered += d.rows.size();
                         });
 
+  ReferenceMatcher ref{scalar, NodeId{0}, sim::sensor_schema()};
+  ref.add(height_sub(NodeId{3}, 10.0));
+  EXPECT_EQ(ref.match(make_batch({{7, 25.0}})).size(), 1u);
+
   EXPECT_EQ(scalar_deliveries, 1u);
   EXPECT_EQ(rows_delivered, 1u);
   // Full per-link equality, not just the totals.
+  EXPECT_EQ(link_traffic_diff(scalar.traffic(), ref.traffic()), "");
+  EXPECT_EQ(link_traffic_diff(batched.traffic(), ref.traffic()), "");
   EXPECT_EQ(batched.traffic(), scalar.traffic());
-  EXPECT_FALSE(batched.traffic().links.empty());
+  EXPECT_EQ(batched.traffic().links.size(), 3u);
 }
 
 TEST(BrokerNetworkBatch, ZeroMatchingSubscriptionsProduceNothing) {
@@ -264,13 +260,13 @@ TEST(BrokerNetworkBatch, TrafficAccountingEquivalentToScalarPerLink) {
   Fixture f;
   // Mixed subscription population: different homes, filters, projections
   // — shared links, projection unions and partial matches all in play.
+  std::vector<Subscription> population{height_sub(NodeId{3}, 10.0),
+                                       height_sub(NodeId{2}, 20.0),
+                                       height_sub(NodeId{1}, 0.0)};
+  population[2].projection = {"snowHeight"};
   const auto populate = [&](BrokerNetwork& net) {
     net.advertise("S", NodeId{0}, sim::sensor_schema());
-    net.subscribe(height_sub(NodeId{3}, 10.0));
-    net.subscribe(height_sub(NodeId{2}, 20.0));
-    Subscription projected = height_sub(NodeId{1}, 0.0);
-    projected.projection = {"snowHeight"};
-    net.subscribe(std::move(projected));
+    for (const auto& sub : population) net.subscribe(sub);
   };
   const std::vector<std::pair<stream::Timestamp, double>> rows{
       {1, 5.0}, {2, 15.0}, {3, 25.0}, {4, 8.0}, {5, 30.0}};
@@ -289,38 +285,65 @@ TEST(BrokerNetworkBatch, TrafficAccountingEquivalentToScalarPerLink) {
 
   BrokerNetwork batched{f.all, f.lat};
   populate(batched);
-  std::vector<std::string> batch_deliveries;
+  std::vector<ReferenceDelivery> batch_deliveries;
   batched.publish_batch("S", make_batch(rows), [&](const BatchDelivery& d) {
-    for (const auto row : d.rows) {
-      batch_deliveries.push_back(std::to_string(d.sub->id.value()) + "@" +
-                                 std::to_string(d.source->ts(row)));
-    }
+    batch_deliveries.push_back({d.sub->id, d.rows});
   });
 
-  // Same (subscription, row) delivery set...
-  std::sort(scalar_deliveries.begin(), scalar_deliveries.end());
-  std::sort(batch_deliveries.begin(), batch_deliveries.end());
-  EXPECT_EQ(batch_deliveries, scalar_deliveries);
-  ASSERT_FALSE(batch_deliveries.empty());
-  // ...and byte-identical accounting on every directed link.
-  const auto st = scalar.traffic();
-  const auto bt = batched.traffic();
-  EXPECT_EQ(bt, st);
-  ASSERT_FALSE(bt.links.empty());
-  for (const auto& [link, t] : st.links) {
-    const auto it = bt.links.find(link);
-    ASSERT_NE(it, bt.links.end());
-    EXPECT_DOUBLE_EQ(it->second.bytes, t.bytes);
-    EXPECT_DOUBLE_EQ(it->second.weighted_cost, t.weighted_cost);
-    EXPECT_EQ(it->second.messages_sent, t.messages_sent);
+  ReferenceMatcher ref{batched, NodeId{0}, sim::sensor_schema()};
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    Subscription sub = population[i];
+    sub.id = SubscriptionId{static_cast<SubscriptionId::value_type>(i)};
+    ref.add(std::move(sub));
   }
+  // The batch delivers exactly the reference's deliveries, in order...
+  const auto want = ref.match(make_batch(rows));
+  EXPECT_EQ(batch_deliveries, want);
+  ASSERT_FALSE(batch_deliveries.empty());
+  // ...the one-row publishes deliver the same (subscription, row) pairs...
+  std::vector<std::string> want_pairs;
+  for (const auto& d : want) {
+    for (const auto r : d.rows) {
+      want_pairs.push_back(std::to_string(d.sub.value()) + "@" +
+                           std::to_string(rows[r].first));
+    }
+  }
+  std::sort(scalar_deliveries.begin(), scalar_deliveries.end());
+  std::sort(want_pairs.begin(), want_pairs.end());
+  EXPECT_EQ(scalar_deliveries, want_pairs);
+  // ...and both account the reference's traffic on every directed link.
+  EXPECT_EQ(link_traffic_diff(batched.traffic(), ref.traffic()), "");
+  EXPECT_EQ(link_traffic_diff(scalar.traffic(), ref.traffic()), "");
+  EXPECT_EQ(batched.traffic(), scalar.traffic());
+  EXPECT_EQ(batched.traffic().links.size(), 3u);
 }
 
 TEST(Subscription, MessageBytes) {
+  // The pricing rule: a 16-byte header plus 8 bytes per fixed-width
+  // attribute carried (strings cost their length).
   const auto schema = sim::sensor_schema();
-  Message m{"S", &schema, Fixture::reading(1, 20.0)};
-  EXPECT_DOUBLE_EQ(message_bytes(m, {}), 16.0 + 4 * 8.0);
-  EXPECT_DOUBLE_EQ(message_bytes(m, {"snowHeight"}), 16.0 + 8.0);
+  const auto tuple = Fixture::reading(1, 20.0);
+  EXPECT_DOUBLE_EQ(testsupport::message_bytes(schema, tuple, {}),
+                   16.0 + 4 * 8.0);
+  EXPECT_DOUBLE_EQ(testsupport::message_bytes(schema, tuple, {"snowHeight"}),
+                   16.0 + 8.0);
+  EXPECT_DOUBLE_EQ(testsupport::message_bytes(schema, tuple, {"absent"}),
+                   16.0);
+
+  // The broker prices a one-hop copy the same way.
+  Fixture f;
+  for (const auto& [projection, bytes] :
+       std::vector<std::pair<std::set<std::string>, double>>{
+           {{}, 48.0}, {{"snowHeight"}, 24.0}, {{"absent"}, 16.0}}) {
+    BrokerNetwork net{f.all, f.lat};
+    net.advertise("S", NodeId{0}, schema);
+    Subscription sub = height_sub(NodeId{1}, 0.0);
+    sub.projection = projection;
+    net.subscribe(std::move(sub));
+    net.publish("S", tuple, [](const Subscription&, const Message&) {});
+    EXPECT_DOUBLE_EQ(net.traffic().bytes, bytes);
+    EXPECT_EQ(net.traffic().messages_sent, 1u);
+  }
 }
 
 }  // namespace

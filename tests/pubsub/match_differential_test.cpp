@@ -1,15 +1,17 @@
 // Randomized differential harness for subscription matching: the indexed
-// matcher vs the linear-scan oracle, driven through seeded
+// BrokerPartition vs the interpreted linear-scan reference
+// (tests/support/reference_match.h), driven through seeded
 // subscribe/unsubscribe churn (including unsubscribe-then-resubscribe of
-// the same id, which exercises slot reuse) interleaved with scalar and
-// batched publishes. Deliveries must be identical in content AND order,
-// and TrafficStats must match in total and per directed link. Wired into
-// the integration CTest label (see tests/CMakeLists.txt) so it runs with
-// the differential grid in Release and under TSan.
+// the same id, which exercises slot reuse) interleaved with one-row and
+// multi-row batches. Deliveries must be identical in content AND order,
+// and traffic must match on every directed link. The overlay branches and
+// the publisher sits inside it, so a wrong fold order or a link priced
+// with a sibling's projection shows. Wired into the integration CTest
+// label (see tests/CMakeLists.txt) so it runs with the differential grid
+// in Release and under TSan.
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "pubsub/broker_network.h"
 #include "runtime/tuple_batch.h"
 #include "stream/predicate.h"
+#include "support/reference_match.h"
 
 namespace cosmos::pubsub {
 namespace {
@@ -30,12 +33,65 @@ using stream::Schema;
 using stream::Tuple;
 using stream::Value;
 using stream::ValueType;
+using testsupport::link_traffic_diff;
+using testsupport::ReferenceDelivery;
+using testsupport::ReferenceMatcher;
 
 Schema churn_schema() {
   return Schema{{{"snowHeight", ValueType::kDouble},
                  {"temperature", ValueType::kDouble},
                  {"stationId", ValueType::kInt},
                  {"label", ValueType::kString}}};
+}
+
+/// A 9-node tree (latencies in ms) that branches at the publisher, node 1,
+/// and below it:
+///
+///                 0
+///                 |10
+///   5 -5- 4 -20- 1 -100- 2 -15- 7 -3- 8
+///         |7             |10
+///         6              3
+struct Overlay9 {
+  static constexpr std::size_t kNodes = 9;
+  static constexpr NodeId kPublisher{1};
+  net::Topology topo{kNodes};
+  std::vector<NodeId> nodes;
+  net::LatencyMatrix lat;
+
+  Overlay9() {
+    topo.add_edge(NodeId{0}, NodeId{1}, 10.0);
+    topo.add_edge(NodeId{1}, NodeId{2}, 100.0);
+    topo.add_edge(NodeId{2}, NodeId{3}, 10.0);
+    topo.add_edge(NodeId{1}, NodeId{4}, 20.0);
+    topo.add_edge(NodeId{4}, NodeId{5}, 5.0);
+    topo.add_edge(NodeId{4}, NodeId{6}, 7.0);
+    topo.add_edge(NodeId{2}, NodeId{7}, 15.0);
+    topo.add_edge(NodeId{7}, NodeId{8}, 3.0);
+    for (std::uint32_t i = 0; i < kNodes; ++i) nodes.push_back(NodeId{i});
+    lat = net::LatencyMatrix{topo, nodes};
+  }
+
+  static NodeId random_home(Rng& rng) {
+    return NodeId{static_cast<NodeId::value_type>(rng.next_below(kNodes))};
+  }
+};
+
+/// Projections: all columns, a numeric + string pair, names the schema
+/// lacks (header only), and a mix of both.
+std::set<std::string> random_projection(Rng& rng) {
+  switch (rng.next_below(5)) {
+    case 0:
+      return {"snowHeight", "label"};
+    case 1:
+      return {"label"};
+    case 2:
+      return {"humidity"};
+    case 3:
+      return {"temperature", "humidity"};
+    default:
+      return {};
+  }
 }
 
 /// Every filter shape the matcher must handle: indexable equalities and
@@ -94,87 +150,39 @@ PredicatePtr random_filter(Rng& rng) {
   }
 }
 
-struct Harness {
-  net::Topology topo{4};
-  std::vector<NodeId> nodes{NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}};
-  net::LatencyMatrix lat;
-  BrokerNetwork indexed;
-  BrokerNetwork linear;
-  BrokerPartition* part_indexed = nullptr;
-  BrokerPartition* part_linear = nullptr;
-  /// Deque: stable addresses, both partitions share the same objects.
-  std::deque<Subscription> storage;
-
-  Harness()
-      : lat{[this] {
-          topo.add_edge(NodeId{0}, NodeId{1}, 10.0);
-          topo.add_edge(NodeId{1}, NodeId{2}, 100.0);
-          topo.add_edge(NodeId{2}, NodeId{3}, 10.0);
-          return net::LatencyMatrix{topo, nodes};
-        }()},
-        indexed{nodes, lat, BrokerNetwork::Options{true}},
-        linear{nodes, lat, BrokerNetwork::Options{false}} {
-    indexed.advertise("S", NodeId{0}, churn_schema());
-    linear.advertise("S", NodeId{0}, churn_schema());
-    part_indexed = indexed.partition("S");
-    part_linear = linear.partition("S");
-  }
-
-  void subscribe(SubscriptionId id, Rng& rng) {
-    Subscription sub;
-    sub.id = id;
-    sub.subscriber = NodeId{static_cast<NodeId::value_type>(
-        rng.next_below(4))};
-    sub.streams = {"S"};
-    if (rng.next_bool(0.3)) sub.projection = {"snowHeight", "label"};
-    sub.filter = random_filter(rng);
-    storage.push_back(std::move(sub));
-    part_indexed->add_subscription(&storage.back());
-    part_linear->add_subscription(&storage.back());
-  }
-
-  void unsubscribe(SubscriptionId id) {
-    part_indexed->remove_subscription(id);
-    part_linear->remove_subscription(id);
-  }
-};
-
 Tuple random_row(Rng& rng, stream::Timestamp ts) {
+  // Labels of different lengths, so a link that carries the string column
+  // is priced by the row, not by a constant.
+  const auto letter = static_cast<char>('a' + rng.next_below(3));
   return Tuple{ts,
                {Value{rng.next_double(-5.0, 5.0)},
                 Value{rng.next_double(-5.0, 5.0)}, Value{rng.next_range(0, 7)},
-                Value{std::string(1, static_cast<char>(
-                                         'a' + rng.next_below(3)))}}};
+                Value{std::string(1 + rng.next_below(6), letter)}}};
 }
 
-/// (sub id, row ts) trace entries in delivery order.
-using DeliveryLog = std::vector<std::pair<std::uint32_t, stream::Timestamp>>;
-
-DeliveryLog batch_log(BrokerPartition& part, const runtime::TupleBatch& b) {
+std::vector<ReferenceDelivery> deliveries_of(BrokerPartition& part,
+                                             const runtime::TupleBatch& b) {
   std::vector<BatchDelivery> ds;
   part.match_batch(b, ds);
-  DeliveryLog log;
-  for (const auto& d : ds) {
-    for (const auto r : d.rows) {
-      log.emplace_back(d.sub->id.value(), d.source->ts(r));
-    }
+  std::vector<ReferenceDelivery> out;
+  for (auto& d : ds) {
+    EXPECT_EQ(d.source, &b);
+    out.push_back({d.sub->id, std::move(d.rows)});
   }
-  return log;
-}
-
-DeliveryLog scalar_log(BrokerPartition& part, const Tuple& t) {
-  DeliveryLog log;
-  part.match(t, [&log](const Subscription& sub, const Message& m) {
-    log.emplace_back(sub.id.value(), m.tuple.ts);
-  });
-  return log;
+  return out;
 }
 
 TEST(MatchDifferential, IndexEqualsLinearUnderChurn) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng{seed * 7919};
-    Harness h;
+    Overlay9 o;
+    BrokerNetwork net{o.nodes, o.lat};
+    net.advertise("S", Overlay9::kPublisher, churn_schema());
+    BrokerPartition& part = *net.partition("S");
+    ReferenceMatcher ref{net, Overlay9::kPublisher, churn_schema()};
+    std::deque<Subscription> storage;  // stable addresses for the partition
+
     std::vector<SubscriptionId> live;
     std::vector<SubscriptionId> dead;
     std::uint32_t next_id = 0;
@@ -194,109 +202,157 @@ TEST(MatchDifferential, IndexEqualsLinearUnderChurn) {
         } else {
           ++next_id;
         }
-        h.subscribe(id, rng);
+        Subscription sub;
+        sub.id = id;
+        sub.subscriber = Overlay9::random_home(rng);
+        sub.streams = {"S"};
+        if (rng.next_bool(0.5)) sub.projection = random_projection(rng);
+        sub.filter = random_filter(rng);
+        storage.push_back(sub);
+        part.add_subscription(&storage.back());
+        ref.add(std::move(sub));
         live.push_back(id);
       } else if (action < 0.5) {
         const std::size_t k = rng.next_below(live.size());
         const SubscriptionId id = live[k];
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
         dead.push_back(id);
-        h.unsubscribe(id);
-      } else if (action < 0.6) {
-        const Tuple t = random_row(rng, ++now);
-        EXPECT_EQ(scalar_log(*h.part_indexed, t),
-                  scalar_log(*h.part_linear, t));
+        part.remove_subscription(id);
+        ref.remove(id);
       } else {
+        // One-row batches (the push() and p2 shape) and multi-row ones.
         runtime::TupleBatch b{"S"};
-        const std::size_t n = 1 + rng.next_below(48);
+        const std::size_t n = action < 0.6 ? 1 : 1 + rng.next_below(48);
         for (std::size_t i = 0; i < n; ++i) {
           now += rng.next_below(3);  // duplicate timestamps included
           b.push_back(random_row(rng, now));
         }
-        const DeliveryLog li = batch_log(*h.part_indexed, b);
-        const DeliveryLog ll = batch_log(*h.part_linear, b);
-        ASSERT_EQ(li, ll);
-        rows_delivered += li.size();
+        const auto got = deliveries_of(part, b);
+        ASSERT_EQ(got, ref.match(b)) << "step " << step;
+        for (const auto& d : got) rows_delivered += d.rows.size();
       }
-      ASSERT_EQ(h.part_indexed->subscription_count(),
-                h.part_linear->subscription_count());
-      ASSERT_EQ(h.part_indexed->subscription_count(), live.size());
+      ASSERT_EQ(part.subscription_count(), live.size());
     }
     // The run must have actually delivered something, or the equality
     // assertions above were vacuous.
     EXPECT_GT(rows_delivered, 0u);
-    // Byte-identical accounting, in total and on every directed link.
-    EXPECT_EQ(h.part_indexed->traffic(), h.part_linear->traffic());
-    EXPECT_FALSE(h.part_indexed->traffic().links.empty());
+    EXPECT_EQ(link_traffic_diff(part.traffic(), ref.traffic()), "");
+    EXPECT_GE(part.traffic().links.size(), 6u);
   }
 }
 
-/// The facade path (publish/publish_batch through BrokerNetwork) with the
-/// index on must keep matching the linear facade exactly — covering
+/// The facade path (publish_batch through BrokerNetwork) — covering
 /// subscribe-before-advertise replay and facade-side unsubscribe.
-TEST(MatchDifferential, FacadesAgreeAcrossOptions) {
+TEST(MatchDifferential, FacadeMatchesReference) {
   Rng rng{424242};
-  net::Topology topo{4};
-  topo.add_edge(NodeId{0}, NodeId{1}, 10.0);
-  topo.add_edge(NodeId{1}, NodeId{2}, 100.0);
-  topo.add_edge(NodeId{2}, NodeId{3}, 10.0);
-  const std::vector<NodeId> nodes{NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}};
-  const net::LatencyMatrix lat{topo, nodes};
-  BrokerNetwork indexed{nodes, lat, BrokerNetwork::Options{true}};
-  BrokerNetwork linear{nodes, lat, BrokerNetwork::Options{false}};
+  Overlay9 o;
+  BrokerNetwork net{o.nodes, o.lat};
+  ReferenceMatcher ref{net, Overlay9::kPublisher, churn_schema()};
 
-  // Half the subscriptions predate the advertisement.
-  std::vector<SubscriptionId> ids_indexed;
-  std::vector<SubscriptionId> ids_linear;
-  const auto add_subs = [&](std::size_t count, Rng seeded) {
+  // Half the subscriptions predate the advertisement; the partition takes
+  // them in subscribe order when the stream is advertised.
+  std::vector<SubscriptionId> ids;
+  std::vector<Subscription> early;
+  const auto add_subs = [&](std::size_t count, bool advertised) {
     for (std::size_t i = 0; i < count; ++i) {
-      Rng fork = seeded.fork();
       Subscription sub;
-      sub.subscriber =
-          NodeId{static_cast<NodeId::value_type>(fork.next_below(4))};
+      sub.subscriber = Overlay9::random_home(rng);
       sub.streams = {"S"};
-      sub.filter = random_filter(fork);
-      Subscription copy = sub;
-      ids_indexed.push_back(indexed.subscribe(std::move(sub)));
-      ids_linear.push_back(linear.subscribe(std::move(copy)));
-      seeded.next_u64();
+      if (rng.next_bool(0.5)) sub.projection = random_projection(rng);
+      sub.filter = random_filter(rng);
+      sub.id = net.subscribe(sub);
+      ids.push_back(sub.id);
+      if (advertised) {
+        ref.add(std::move(sub));
+      } else {
+        early.push_back(std::move(sub));
+      }
     }
   };
-  add_subs(20, rng.fork());
-  indexed.advertise("S", NodeId{0}, churn_schema());
-  linear.advertise("S", NodeId{0}, churn_schema());
-  add_subs(20, rng.fork());
+  add_subs(20, false);
+  net.advertise("S", Overlay9::kPublisher, churn_schema());
+  for (auto& sub : early) ref.add(std::move(sub));
+  add_subs(20, true);
 
   stream::Timestamp now = 0;
-  DeliveryLog li;
-  DeliveryLog ll;
+  std::size_t rows_delivered = 0;
   for (int step = 0; step < 30; ++step) {
-    if (!ids_indexed.empty() && rng.next_bool(0.2)) {
-      const std::size_t k = rng.next_below(ids_indexed.size());
-      indexed.unsubscribe(ids_indexed[k]);
-      linear.unsubscribe(ids_linear[k]);
-      ids_indexed.erase(ids_indexed.begin() + static_cast<std::ptrdiff_t>(k));
-      ids_linear.erase(ids_linear.begin() + static_cast<std::ptrdiff_t>(k));
+    if (!ids.empty() && rng.next_bool(0.2)) {
+      const std::size_t k = rng.next_below(ids.size());
+      net.unsubscribe(ids[k]);
+      ref.remove(ids[k]);
+      ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(k));
     }
+    if (rng.next_bool(0.2)) add_subs(2, true);
     runtime::TupleBatch b{"S"};
-    for (std::size_t i = 0; i < 16; ++i) {
-      b.push_back(random_row(rng, ++now));
-    }
-    li.clear();
-    ll.clear();
-    indexed.publish_batch("S", b, [&li](const BatchDelivery& d) {
-      for (const auto r : d.rows) {
-        li.emplace_back(d.sub->id.value(), d.source->ts(r));
-      }
+    for (std::size_t i = 0; i < 16; ++i) b.push_back(random_row(rng, ++now));
+    std::vector<ReferenceDelivery> got;
+    net.publish_batch("S", b, [&got](const BatchDelivery& d) {
+      got.push_back({d.sub->id, d.rows});
     });
-    linear.publish_batch("S", b, [&ll](const BatchDelivery& d) {
-      for (const auto r : d.rows) {
-        ll.emplace_back(d.sub->id.value(), d.source->ts(r));
-      }
-    });
-    ASSERT_EQ(li, ll);
+    ASSERT_EQ(got, ref.match(b)) << "step " << step;
+    for (const auto& d : got) rows_delivered += d.rows.size();
   }
-  EXPECT_EQ(indexed.traffic(), linear.traffic());
+  EXPECT_GT(rows_delivered, 0u);
+  EXPECT_EQ(link_traffic_diff(net.traffic(), ref.traffic()), "");
+}
+
+/// Column masks span several words when the schema is wider than 64
+/// columns: projections on either side of the word boundary, and string
+/// columns beyond it, must be priced like the reference prices them.
+TEST(MatchDifferential, WideSchemaEqualsReference) {
+  constexpr std::size_t kColumns = 70;
+  std::vector<stream::Field> fields;
+  for (std::size_t c = 0; c < kColumns; ++c) {
+    fields.push_back({"c" + std::to_string(c),
+                      c % 3 == 2 ? ValueType::kString : ValueType::kDouble});
+  }
+  const Schema wide{fields};
+  Rng rng{99};
+  Overlay9 o;
+  BrokerNetwork net{o.nodes, o.lat};
+  net.advertise("W", Overlay9::kPublisher, wide);
+  ReferenceMatcher ref{net, Overlay9::kPublisher, wide};
+
+  const std::vector<std::set<std::string>> projections{
+      {},           {"c0"},        {"c63", "c64"}, {"c65", "c68"},
+      {"c2", "c69"}, {"c70", "zz"}, {"c1", "c66"}};
+  for (std::size_t i = 0; i < 24; ++i) {
+    Subscription sub;
+    sub.subscriber = Overlay9::random_home(rng);
+    sub.streams = {"W"};
+    sub.projection = projections[i % projections.size()];
+    const std::string column = "c" + std::to_string(3 * (i % 20));
+    sub.filter = Predicate::cmp(FieldRef{"", column}, CmpOp::kGt,
+                                Value{rng.next_double(-1.0, 1.0)});
+    sub.id = net.subscribe(sub);
+    ref.add(std::move(sub));
+  }
+
+  stream::Timestamp now = 0;
+  std::size_t rows_delivered = 0;
+  for (int step = 0; step < 20; ++step) {
+    runtime::TupleBatch b{"W"};
+    const std::size_t n = 1 + rng.next_below(8);
+    for (std::size_t r = 0; r < n; ++r) {
+      Tuple t;
+      t.ts = ++now;
+      for (std::size_t c = 0; c < kColumns; ++c) {
+        t.values.push_back(c % 3 == 2
+                               ? Value{std::string(rng.next_below(9), 'x')}
+                               : Value{rng.next_double(-1.0, 1.0)});
+      }
+      b.push_back(std::move(t));
+    }
+    std::vector<ReferenceDelivery> got;
+    net.publish_batch("W", b, [&got](const BatchDelivery& d) {
+      got.push_back({d.sub->id, d.rows});
+    });
+    ASSERT_EQ(got, ref.match(b)) << "step " << step;
+    for (const auto& d : got) rows_delivered += d.rows.size();
+  }
+  EXPECT_GT(rows_delivered, 0u);
+  EXPECT_EQ(link_traffic_diff(net.traffic(), ref.traffic()), "");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -34,6 +35,20 @@ Schema station_schema() {
 
 CompiledPredicate lenient(const PredicatePtr& p, const Schema& s) {
   return CompiledPredicate::compile_lenient(p, {{"", &s, SIZE_MAX}});
+}
+
+/// probe_batch() on a one-row batch: the slots whose anchor holds on
+/// `row`, ascending (candidates still owe their residual check).
+std::vector<SubscriptionIndex::Slot> probe_row(const SubscriptionIndex& idx,
+                                               const Tuple& row,
+                                               std::size_t slots = 8) {
+  runtime::TupleBatch batch{"S"};
+  batch.push_back(row);
+  std::vector<std::vector<std::uint32_t>> cands(slots);
+  std::vector<SubscriptionIndex::Slot> touched;
+  idx.probe_batch(batch, cands, touched);
+  std::sort(touched.begin(), touched.end());
+  return touched;
 }
 
 TEST(SubscriptionIndex, PlacementPolicy) {
@@ -98,17 +113,16 @@ TEST(SubscriptionIndex, TimestampAnchor) {
       Predicate::cmp(FieldRef{"", "timestamp"}, CmpOp::kGe, Value{100});
   EXPECT_EQ(idx.add(0, p, lenient(p, s)),
             SubscriptionIndex::Placement::kRange);
-  std::vector<SubscriptionIndex::Slot> out;
-  const Value vals[4] = {Value{1.0}, Value{1.0}, Value{0}, Value{"x"}};
-  idx.probe({99, vals, 4}, out);
-  EXPECT_TRUE(out.empty());
-  idx.probe({100, vals, 4}, out);
-  EXPECT_EQ(out, (std::vector<SubscriptionIndex::Slot>{0}));
+  const std::vector<Value> vals{Value{1.0}, Value{1.0}, Value{0},
+                                Value{"x"}};
+  EXPECT_TRUE(probe_row(idx, Tuple{99, vals}).empty());
+  EXPECT_EQ(probe_row(idx, Tuple{100, vals}),
+            (std::vector<SubscriptionIndex::Slot>{0}));
 }
 
 /// Brute-force differential: random anchored filters, random rows; the
 /// probe's candidates joined with their residuals must reproduce full
-/// filter evaluation exactly, scalar and batched.
+/// filter evaluation exactly, on one-row batches and on a whole batch.
 TEST(SubscriptionIndex, ProbeCandidatesMatchBruteForce) {
   const Schema s = station_schema();
   Rng rng{2024};
@@ -168,16 +182,13 @@ TEST(SubscriptionIndex, ProbeCandidatesMatchBruteForce) {
            Value{std::string(1, static_cast<char>('a' + rng.next_below(3)))}}});
     }
 
-    // Scalar probes row by row.
-    std::vector<SubscriptionIndex::Slot> cand;
+    // One-row probes, row by row.
     for (std::size_t r = 0; r < batch.size(); ++r) {
       const Tuple row = batch.row(r);
       const CompiledPredicate::Row cr{row.ts, row.values.data(),
                                       row.values.size()};
-      cand.clear();
-      idx.probe(cr, cand);
       std::vector<bool> matched(n, false);
-      for (const auto slot : cand) {
+      for (const auto slot : probe_row(idx, row, n)) {
         const auto* res = idx.residual(slot);
         if (res == nullptr || res->eval(&cr)) matched[slot] = true;
       }
@@ -220,19 +231,13 @@ TEST(SubscriptionIndex, RemoveIsIncrementalAndSlotsAreReusable) {
   idx.add(1, band, lenient(band, s));
   idx.add(2, eq, lenient(eq, s));
 
-  const Value vals[4] = {Value{0.0}, Value{0.0}, Value{7}, Value{"x"}};
-  const CompiledPredicate::Row row{5, vals, 4};
-  std::vector<SubscriptionIndex::Slot> out;
-  idx.probe(row, out);
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (std::vector<SubscriptionIndex::Slot>{0, 1, 2}));
+  const Tuple row{5, {Value{0.0}, Value{0.0}, Value{7}, Value{"x"}}};
+  EXPECT_EQ(probe_row(idx, row),
+            (std::vector<SubscriptionIndex::Slot>{0, 1, 2}));
 
   idx.remove(0);
   EXPECT_EQ(idx.equality_entries(), 1u);
-  out.clear();
-  idx.probe(row, out);
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (std::vector<SubscriptionIndex::Slot>{1, 2}));
+  EXPECT_EQ(probe_row(idx, row), (std::vector<SubscriptionIndex::Slot>{1, 2}));
   idx.remove(1);
   EXPECT_EQ(idx.range_entries(), 0u);
   idx.remove(1);  // unknown slot: no-op
@@ -242,9 +247,7 @@ TEST(SubscriptionIndex, RemoveIsIncrementalAndSlotsAreReusable) {
       Predicate::cmp(FieldRef{"", "nope"}, CmpOp::kGt, Value{0});
   EXPECT_EQ(idx.add(0, unresolved, lenient(unresolved, s)),
             SubscriptionIndex::Placement::kScan);
-  out.clear();
-  idx.probe(row, out);
-  EXPECT_EQ(out, (std::vector<SubscriptionIndex::Slot>{2}));
+  EXPECT_EQ(probe_row(idx, row), (std::vector<SubscriptionIndex::Slot>{2}));
   EXPECT_EQ(idx.scan_slots(), (std::vector<SubscriptionIndex::Slot>{0}));
 }
 

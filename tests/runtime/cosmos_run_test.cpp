@@ -9,6 +9,7 @@
 #include "cql/parser.h"
 #include "net/topology.h"
 #include "sim/sensor_trace.h"
+#include "support/reference_match.h"
 
 namespace cosmos::middleware {
 namespace {
@@ -99,10 +100,11 @@ TEST(CosmosRun, MatchesPushModeExactly) {
   EXPECT_GT(report.results_delivered, 0u);
   ASSERT_FALSE(push_log.empty());
   EXPECT_EQ(run_log, push_log);  // identical per-query result sequences
-  // Traffic: same messages; bytes identical up to summation order.
-  EXPECT_EQ(run_sys->traffic().messages_sent, push_sys->traffic().messages_sent);
-  EXPECT_NEAR(run_sys->traffic().bytes, push_sys->traffic().bytes,
-              1e-6 * push_sys->traffic().bytes);
+  // Traffic: the same bytes and messages on every directed link.
+  EXPECT_EQ(pubsub::testsupport::link_traffic_diff(run_sys->traffic(),
+                                                   push_sys->traffic()),
+            "");
+  EXPECT_FALSE(push_sys->traffic().links.empty());
 }
 
 TEST(CosmosRun, ResultSequencesInvariantAcrossShardCounts) {
