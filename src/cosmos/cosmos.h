@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "adapt/adapt.h"
@@ -35,8 +36,11 @@
 #include "runtime/runtime.h"
 #include "runtime/stats.h"
 #include "stream/engine.h"
+#include "wire/messages.h"
 
 namespace cosmos::middleware {
+
+class Pipeline;
 
 class Cosmos {
  public:
@@ -69,6 +73,9 @@ class Cosmos {
   //
   // All three modes (push(), run(), run_federated()) execute the same batch
   // operator chain (query/plan.h); they differ only in how rows reach it.
+  // Every mode ingests only registered source streams: a unit's result
+  // stream or an unadvertised name throws std::invalid_argument naming the
+  // stream, before anything is matched or accounted.
   //
   // push() is the synchronous mode: each call matches, routes, executes the
   // query plans on a one-row batch, and delivers results before returning,
@@ -79,21 +86,20 @@ class Cosmos {
   // evaluates each user query on its own, with no unit merging, no broker
   // and no shared operator code.
   //
-  // run() is the runtime-backed mode: a whole trace is replayed through the
-  // sharded execution runtime (src/runtime/). The calling thread becomes
-  // the ingest driver — it batches the trace into global-order-preserving
-  // chunks (runtime::Driver) and pipelines each chunk through three
-  // stages: *match* (every run is shipped to the shard owning its stream's
-  // broker partition, which runs subscription matching and traffic
-  // accounting off the driver thread; accounting is identical to push()),
-  // *route* (the driver turns the pre-matched deliveries into per-engine
-  // row slices of the shared runs), and *dispatch* (slices go to the
-  // worker thread owning each processor's engine). Engines are pinned to
+  // run() and run_federated() replay a whole trace through the one chunk
+  // pipeline of cosmos/pipeline.h, with the calling thread as its driver:
+  // each chunk is matched (accounting identical to push()), routed into
+  // per-engine slices, executed in chunk order, and its results delivered
+  // on the driver thread, so callbacks never run concurrently and
+  // per-query result sequences are identical to push(). The modes differ
+  // only in the fleet that matches and executes.
+  //
+  // run()'s fleet is the sharded runtime (src/runtime/): each source
+  // partition matches on its publisher's shard, engines are pinned to
   // shards, shard queues are FIFO and bounded (backpressure, never drops),
-  // and result delivery runs on the driver thread, so result callbacks
-  // never run concurrently and per-query result sequences are identical to
-  // push() at any shard count. A Cosmos instance must not be mutated
-  // (submit etc.) while run() is executing.
+  // and each chunk's matches are awaited before the next chunk is cut. A
+  // Cosmos instance must not be mutated (submit etc.) while run() is
+  // executing.
 
   /// Feeds one source tuple into the system (global timestamp order).
   void push(const std::string& stream, const stream::Tuple& tuple);
@@ -122,16 +128,19 @@ class Cosmos {
     std::string trace_path;
   };
   /// Where the driver's serial time goes, stage by stage of the chunk
-  /// pipeline (match → route → dispatch, plus p2 result delivery). Since
-  /// PR 3, subscription matching runs inside the shards: the driver's
-  /// share of it is only the wall-clock wait at the per-chunk match
-  /// barrier, which costs no driver CPU and overlaps shard execution.
+  /// pipeline (match → route → dispatch, plus p2 result delivery).
+  /// Subscription matching runs in the fleet: the driver's share of it is
+  /// only the wall-clock wait for match results, which costs no driver CPU
+  /// and overlaps execution.
   struct DriverBreakdown {
-    /// Wall time parked at the match barrier (not CPU; overlaps shards).
+    /// Wall time parked waiting for match results (not CPU; overlaps the
+    /// fleet's work).
     double match_wait_seconds = 0.0;
-    /// CPU turning shard-produced deliveries into per-engine run slices.
+    /// CPU turning match results into per-engine run slices.
     double route_cpu_seconds = 0.0;
-    /// CPU cutting chunks into match tasks and handing tasks to queues.
+    /// CPU cutting chunks into match requests and handing match and
+    /// execute work to the fleet (shard queues, or encoded frames and the
+    /// journal records that go with them).
     double dispatch_cpu_seconds = 0.0;
     /// CPU delivering result tuples to user callbacks (the p2 leg).
     double deliver_cpu_seconds = 0.0;
@@ -256,21 +265,15 @@ class Cosmos {
 
   // --- Federation mode ----------------------------------------------------
   //
-  // run_federated() is run() stretched across real processes: each worker
-  // is a cosmos_noded daemon reached over a wire::FrameChannel (TCP or
+  // run_federated()'s fleet is real processes: each worker is a
+  // cosmos_noded daemon reached over a wire::FrameChannel (TCP or
   // Unix-domain), hosting a slice of the engines and matching the source
   // streams it owns. The driver replicates the topology, schemas, p1
-  // subscriptions and unit deployments over registration frames, then
-  // pipelines driver chunks exactly like run(): one match request per
-  // (chunk, owner worker) carries that owner's runs, responses are routed
-  // *on the driver* into per-engine row selections (so routing policy lives
-  // in one place), one execute bundle per (chunk, target worker) carries
-  // each run once plus the per-engine slices, and result tuples come back
-  // for p2 delivery on the driver thread. Per-channel FIFO plays the
-  // role of shard-queue FIFO, so per-query result sequences stay
-  // byte-identical to push() — the federation differential tests assert it
-  // across worker counts and live migrations. The per-chunk match barrier
-  // is relaxed to a bounded in-flight window (max_inflight_chunks).
+  // subscriptions and unit deployments over registration frames; per chunk
+  // each owner worker gets one match request and each target worker one
+  // execute bundle carrying each run once plus its per-engine slices, and
+  // results come back for p2 delivery. Up to max_inflight_chunks chunks
+  // may await their matches at once.
 
   struct FederationOptions {
     /// Worker endpoints ("unix:/path" or "tcp:host:port"), one per
@@ -280,8 +283,7 @@ class Cosmos {
     std::size_t batch_size = 256;        ///< max tuples per driver chunk
     stream::Timestamp tick_ms = 60'000;  ///< virtual-clock bound per chunk
     /// Chunks whose match responses may still be outstanding before the
-    /// driver waits — the relaxed match barrier. 1 = run()'s strict
-    /// per-chunk barrier.
+    /// driver waits. 1 = run()'s strict per-chunk barrier.
     std::size_t max_inflight_chunks = 4;
     std::size_t worker_shards = 1;    ///< each worker runtime's shard count
     std::size_t queue_capacity = 64;  ///< per-channel send queue, in frames
@@ -452,9 +454,11 @@ class Cosmos {
   }
 
  private:
-  /// The driver half of a federated run (defined in federation.cpp): the
-  /// worker channels, reader-shared response state, the in-flight chunk
-  /// window and the migration protocol.
+  friend class Pipeline;
+  /// The pipeline's fleets: the sharded in-process runtime (cosmos.cpp)
+  /// and the worker processes of a federated run, with their channels,
+  /// recovery, journal and migration protocol (federation.cpp).
+  struct Shards;
   struct Fed;
 
   struct Unit {
@@ -476,16 +480,6 @@ class Cosmos {
     std::vector<std::size_t> p2_keep;
   };
 
-  /// A result tuple emitted by a shard engine, pending p2 delivery on the
-  /// driver thread.
-  struct ResultEvent {
-    std::string stream;
-    stream::Tuple tuple;
-    /// Ingest stamp of the chunk that produced this result (0 if unknown);
-    /// the driver records now_ns() - ingest_ns at p2 delivery.
-    std::uint64_t ingest_ns = 0;
-  };
-
   stream::Engine& engine_at(NodeId host);
   void deploy_unit(Unit& unit);
   void teardown_unit(Unit& unit);
@@ -493,29 +487,13 @@ class Cosmos {
   /// p2 leg: routes a result-stream tuple to its member queries' callbacks.
   void deliver_result(const std::string& result_stream,
                       const stream::Tuple& tuple);
-  /// Pipelines one driver chunk through match → route → dispatch: ships
-  /// each run to the shard owning its stream's broker partition for
-  /// subscription matching, waits for the chunk's match barrier, then
-  /// turns the pre-matched deliveries into per-engine run slices and hands
-  /// them to the engines' shards. `shard_of` is keyed by NodeId::value()
-  /// (the runtime's opaque engine id) so the adaptation subsystem can
-  /// share the map; it also pins partition owners (publisher nodes).
-  void dispatch_chunk(
-      runtime::Chunk&& chunk, runtime::Runtime& rt,
-      const std::unordered_map<std::uint64_t, std::size_t>& shard_of,
-      RunReport& report);
-  /// Total window extent (ms) of the units hosted at `node` — the state
-  /// model's input for planning-time migration cost.
-  [[nodiscard]] double host_window_extent_ms(NodeId node) const;
-  /// Live join-state bytes of the units hosted at `node`, *measured*: the
-  /// serialized size of the state a migration would actually ship (the
-  /// wire handoff payload), not a tuples-times-constant estimate. Only
-  /// safe while no shard worker is executing that node's engine (the
-  /// migrator calls it post-drain).
-  [[nodiscard]] double host_state_bytes(NodeId node) const;
+  /// The partition of registered source `stream`; std::invalid_argument
+  /// naming the stream for anything else (result streams included).
+  pubsub::BrokerPartition& source_partition(const std::string& stream);
 
   std::vector<NodeId> nodes_;
   pubsub::BrokerNetwork broker_;
+  std::unordered_set<std::string> sources_;  ///< register_source()d streams
   std::map<NodeId, std::unique_ptr<stream::Engine>> engines_;
   std::map<std::uint32_t, Unit> units_;
   std::unordered_map<QueryId, UserQuery> queries_;
@@ -528,7 +506,7 @@ class Cosmos {
   /// instead of delivering inline (delivery happens on the driver thread).
   /// Set before workers start and cleared after they join, so shard threads
   /// always observe the run-mode value.
-  runtime::MpscBuffer<ResultEvent>* active_results_ = nullptr;
+  runtime::MpscBuffer<wire::ResultEventMsg>* active_results_ = nullptr;
   std::size_t results_delivered_ = 0;
 };
 

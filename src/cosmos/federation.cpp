@@ -1,25 +1,24 @@
-// The driver half of a federated run: Cosmos::run_federated and its state
-// (Cosmos::Fed). Each worker is a cosmos_noded process reached over one
+// The wire fleet of the chunk pipeline (cosmos/pipeline.h):
+// Cosmos::run_federated, resume_federated and their state (Cosmos::Fed).
+// Each worker is a cosmos_noded process reached over one
 // wire::FrameChannel; the channel's reader thread funnels every inbound
 // frame into a small mutex-guarded inbox the driver thread waits on.
 //
 // Data traffic is chunk-granular (wire protocol v4): per chunk, each owner
 // worker gets one kMatchRequest with all of its runs and answers with one
-// kMatchResponse; the route stage then sends each target worker one
-// kExecuteBundle carrying every run it needs once plus one (engine, seq,
-// run, rows) entry per engine slice — the per-chunk slice shape
-// Cosmos::dispatch_chunk uses in-process, applied at the wire.
+// kMatchResponse, which the fleet validates into the pipeline's match
+// results; each target worker then gets one kExecuteBundle carrying every
+// run it needs once plus one (engine, seq, run, rows) entry per routed
+// engine slice.
 //
-// Determinism argument, mirroring run(): routing happens on the driver in
-// chunk/run order and assigns every engine slice a per-engine sequence
-// number; each site applies an engine's slices strictly in seq order, so
-// per-query result sequences are byte-identical to push() at any worker
-// count — whether bundles travel the star channels (peer_links=false, FIFO
-// makes the seqs trivially in order) or worker-to-worker peer links
-// (peer_links=true, the site's holdback/dedup re-establishes seq order).
-// Bundling changes only how slices are grouped into frames, never their
-// seqs. The per-chunk match barrier of run() is relaxed to a bounded
-// window of in-flight chunks (max_inflight_chunks).
+// Determinism: the pipeline routes in chunk/run order and the fleet gives
+// every engine slice a per-engine sequence number in that order; each site
+// applies an engine's slices strictly in seq order, so per-query result
+// sequences are byte-identical to push() at any worker count — whether
+// bundles travel the star channels (peer_links=false, FIFO makes the seqs
+// trivially in order) or worker-to-worker peer links (peer_links=true, the
+// site's holdback/dedup re-establishes seq order). Bundling changes only
+// how slices are grouped into frames, never their seqs.
 //
 // Worker restart recovery (FederationOptions::recovery): the driver retains
 // every registration frame plus a data log of routed executes since the
@@ -34,6 +33,7 @@
 #include "cosmos/cosmos.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "cosmos/pipeline.h"
 #include "fault/fault.h"
 #include "journal/journal.h"
 #include "node/spawn.h"
@@ -61,18 +62,18 @@
 
 namespace cosmos::middleware {
 
-struct Cosmos::Fed {
-  Fed(Cosmos& system, const FederationOptions& opts)
+struct Cosmos::Fed final : Pipeline::Fleet {
+  Fed(Cosmos& system, const FederationOptions& opts, Pipeline& pipeline)
       : sys(system),
         options(opts),
-        trace(opts.trace_path),
+        core(pipeline),
+        report(pipeline.report()),
         log_data(opts.recovery.enabled || opts.peer_links ||
-                 !opts.faults.empty() || !opts.journal.dir.empty()) {
-    trace.add_process_name(0, "driver");
-    e2e = &reg.histogram("e2e_latency_ns");
-  }
+                 !opts.faults.empty() || !opts.journal.dir.empty()) {}
 
-  ~Fed() {
+  Fed(const Fed&) = delete;  // reader callbacks hold `this`
+  Fed& operator=(const Fed&) = delete;
+  ~Fed() override {
     // Stop treating closes as faults, then tear the channels down (close
     // joins each channel's reader, so after this loop no callback can
     // touch the inbox state above).
@@ -80,22 +81,18 @@ struct Cosmos::Fed {
       std::lock_guard lock{mu};
       expect_close = true;
     }
-    for (auto& w : workers) {
-      if (w.channel) w.channel->close();
+    for (auto& channel : channels) {
+      if (channel) channel->close();
     }
   }
-  Fed(const Fed&) = delete;
-  Fed& operator=(const Fed&) = delete;
 
   Cosmos& sys;
   const FederationOptions& options;
-  /// Declared before `workers` (members die in reverse order): the session
-  /// destructor drains span rings and writes the merged Chrome trace file,
-  /// and must run only after the channel reader threads have joined.
-  obs::TraceSession trace;
-  /// Driver-side registry; e2e points at its ingest-to-delivery histogram.
-  obs::MetricsRegistry reg;
-  obs::Histogram* e2e = nullptr;
+  /// The pipeline this fleet serves: its quiesce points drain the window
+  /// and deliver through it, and its trace session (which outlives the
+  /// channel reader threads) takes the workers' spans.
+  Pipeline& core;
+  RunReport& report;
 
   // --- inbox: reader threads write, the driver thread waits (guard: mu).
   std::mutex mu;
@@ -138,8 +135,9 @@ struct Cosmos::Fed {
   std::deque<wire::SeqGapMsg> seq_gap_inbox;
 
   // --- driver-thread-only state.
-  std::unordered_map<std::string, std::size_t> worker_of_stream;
-  std::unordered_map<NodeId, std::size_t> worker_of_engine;
+  /// engine -> hosting worker. Ordered: every per-engine protocol step
+  /// (deploys, checkpoints, floors, recovery hand-ins) walks engine order.
+  std::map<NodeId, std::size_t> worker_of_engine;
   std::uint64_t next_job = 0;
   std::uint64_t next_flush_seq = 0;
   std::size_t next_migration = 0;
@@ -200,14 +198,27 @@ struct Cosmos::Fed {
     std::uint64_t exec_seq = 0;
   };
   std::unordered_map<std::uint64_t, EngineCheckpoint> ckpt;
-  stream::Timestamp ckpt_clock_ms = 0;  ///< last checkpoint's stream time
-  bool has_ckpt_clock = false;
-  stream::Timestamp floor_clock_ms = 0;  ///< last retention floor advance
-  bool has_floor_clock = false;
+  /// A stream-time period clock, started by the trace's first chunk.
+  struct Cadence {
+    stream::Timestamp last_ms = 0;
+    bool started = false;
+    /// Whether `period` (> 0) has passed since the last firing.
+    bool due(stream::Timestamp now, stream::Timestamp period) {
+      if (period <= 0) return false;
+      if (!started) {
+        last_ms = now;
+        started = true;
+        return false;
+      }
+      return now - last_ms >= period;
+    }
+  };
+  Cadence ckpt_cadence;   ///< last checkpoint
+  Cadence floor_cadence;  ///< last retention floor advance
 
-  /// Durable run journal (FederationOptions::journal): created by run() for
-  /// a fresh journaled run, installed by resume_federated (continuing the
-  /// segment chain) for a resumed one. Driver-thread only.
+  /// Durable run journal (FederationOptions::journal): created by start()
+  /// for a fresh journaled run, installed by resume_replicate() (continuing
+  /// the segment chain) for a resumed one. Driver-thread only.
   std::unique_ptr<journal::Writer> jw;
   std::uint64_t next_ckpt_id = 0;
   /// Trace events consumed by dispatched chunks — the journal's resume cut.
@@ -235,47 +246,32 @@ struct Cosmos::Fed {
   bool has_watermark = false;
   std::uint64_t driver_execute_bytes = 0;
 
-  /// One dispatched run. `match` indexes its owner's PendingMatch (SIZE_MAX:
-  /// zero subscriptions, nothing to match); `slot` is its position in that
-  /// match request, hence in the response and the owner's retained runs.
-  struct PendingRun {
-    wire::SharedRun run;
-    std::size_t owner = 0;  ///< the stream owner
-    std::size_t match = SIZE_MAX;
-    std::uint32_t slot = 0;
-  };
   /// One (chunk, owner) match request awaiting its response; kept whole so
-  /// a stall or a recovery can re-send it.
+  /// a stall or a recovery can re-send it. Parallel to the pipeline
+  /// chunk's groups.
   struct PendingMatch {
     std::size_t owner = 0;
     wire::MatchRequestMsg request;
   };
   struct PendingChunk {
-    std::vector<PendingRun> runs;
     std::vector<PendingMatch> matches;
-    stream::Timestamp last_ts = 0;
-    std::uint64_t ingest_ns = 0;  ///< Chunk::ingest_ns, echoed on executes
-    std::uint64_t index = 0;      ///< chunk_index at dispatch
+    std::uint64_t index = 0;  ///< chunk_index at dispatch
     /// Trace events consumed through this chunk — journaled on its
     /// chunk-routed marker so resume re-ingests from exactly here.
     std::uint64_t events_through = 0;
   };
+  /// Shipped match requests in chunk order, answered or not: what a stall
+  /// or a recovery re-sends.
   std::deque<PendingChunk> pending;
-
-  RunReport report;
+  /// The chunk await_match() took off `pending`, for execute().
+  PendingChunk routed;
+  std::vector<InboxResult> taken;  ///< take_results() scratch
 
   /// Counter totals of channels retired by recovery, folded into the link
   /// stats at shutdown so a recovered worker's traffic is not lost.
-  struct RetiredLink {
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_received = 0;
-    std::uint64_t frames_sent = 0;
-    std::uint64_t frames_received = 0;
-    std::uint64_t frames_dropped = 0;
-  };
-  std::vector<RetiredLink> retired;
+  std::vector<WireLinkStats> retired;
 
-  /// Daemons respawned by recovery. Declared before `workers` so the
+  /// Daemons respawned by recovery. Declared before `channels` so the
   /// channels close (and their reader threads join) first; each process
   /// destructor then reaps its already-exited child with a bounded
   /// SIGTERM -> SIGKILL grace.
@@ -288,16 +284,13 @@ struct Cosmos::Fed {
   /// The fleet a resumed run spawned for itself (resume_federated): the
   /// crashed driver's workers died with it (driver-death EOF), so resume
   /// owns fresh daemons on the journaled endpoints. Declared before
-  /// `workers` for the same close-before-reap ordering as `respawned`.
+  /// `channels` for the same close-before-reap ordering as `respawned`.
   std::vector<node::NodeProcess> owned_fleet;
 
-  // Declared last so channel destruction (which joins the reader threads)
-  // precedes destruction of everything the reader callbacks capture.
-  struct Worker {
-    std::string endpoint;
-    std::unique_ptr<wire::FrameChannel> channel;
-  };
-  std::vector<Worker> workers;
+  // One channel per worker (options.workers[i] is its endpoint). Declared
+  // last so channel destruction (which joins the reader threads) precedes
+  // destruction of everything the reader callbacks capture.
+  std::vector<std::unique_ptr<wire::FrameChannel>> channels;
 
   // --- reader-side handlers -----------------------------------------------
 
@@ -306,7 +299,7 @@ struct Cosmos::Fed {
     {
       std::lock_guard lock{mu};
       if (error.empty()) {
-        error = "worker " + std::to_string(i) + " (" + workers[i].endpoint +
+        error = "worker " + std::to_string(i) + " (" + options.workers[i] +
                 "): " + what;
       }
     }
@@ -326,7 +319,7 @@ struct Cosmos::Fed {
           dead_pending.push_back(i);
         }
       } else if (error.empty()) {
-        error = "worker " + std::to_string(i) + " (" + workers[i].endpoint +
+        error = "worker " + std::to_string(i) + " (" + options.workers[i] +
                 "): " + what;
       }
     }
@@ -471,32 +464,50 @@ struct Cosmos::Fed {
       if (!error.empty()) {
         throw std::runtime_error{"Cosmos federation: " + error};
       }
-      if (!dead_pending.empty()) {
-        const std::size_t i = dead_pending.front();
-        dead_pending.pop_front();
-        lock.unlock();
-        recover(i);
-        lock.lock();
-        continue;
+      if (!run_front(lock, dead_pending, [&](std::size_t i) { recover(i); }) &&
+          !run_front(lock, peer_down_inbox,
+                     [&](const auto& m) { handle_peer_down(m); }) &&
+          !run_front(lock, seq_gap_inbox,
+                     [&](const auto& m) { handle_seq_gap(m); })) {
+        return;
       }
-      if (!peer_down_inbox.empty()) {
-        const auto m = peer_down_inbox.front();
-        peer_down_inbox.pop_front();
-        lock.unlock();
-        handle_peer_down(m);
-        lock.lock();
-        continue;
-      }
-      if (!seq_gap_inbox.empty()) {
-        const auto m = seq_gap_inbox.front();
-        seq_gap_inbox.pop_front();
-        lock.unlock();
-        handle_seq_gap(m);
-        lock.lock();
-        continue;
-      }
-      return;
     }
+  }
+
+  /// Pops the front of `queue` and runs `handle` on it with the lock
+  /// released; false when the queue is empty.
+  template <typename Queue, typename Handle>
+  static bool run_front(std::unique_lock<std::mutex>& lock, Queue& queue,
+                        Handle handle) {
+    if (queue.empty()) return false;
+    const auto item = std::move(queue.front());
+    queue.pop_front();
+    lock.unlock();
+    handle(item);
+    lock.lock();
+    return true;
+  }
+
+  /// Waits until `done(item)` holds for every item (evaluated with mu
+  /// held). On a stall, `resend(item)` re-sends the request of each item
+  /// not yet done: a drop fault can swallow a request or its answer with
+  /// the worker alive, and every protocol re-send is idempotent.
+  template <typename Items, typename Done, typename Resend>
+  void await_all(const Items& items, Done done, Resend resend) {
+    std::unique_lock lock{mu};
+    wait_for(
+        lock,
+        [&] { return std::all_of(std::begin(items), std::end(items), done); },
+        /*on_stall=*/[&] {
+          std::vector<const typename Items::value_type*> missing;
+          {
+            std::lock_guard g{mu};
+            for (const auto& item : items) {
+              if (!done(item)) missing.push_back(&item);
+            }
+          }
+          for (const auto* item : missing) resend(*item);
+        });
   }
 
   /// Driver-sent bundle: counted in driver_execute_bytes.
@@ -580,7 +591,7 @@ struct Cosmos::Fed {
   /// Control-plane send: a failure here is a session fault (registration,
   /// migration and shutdown frames).
   void send(std::size_t w, wire::Frame frame) {
-    workers[w].channel->send(std::move(frame));
+    channels[w]->send(std::move(frame));
   }
 
   /// Data-plane send: skipped while the target is dead (the data log / the
@@ -594,7 +605,7 @@ struct Cosmos::Fed {
       if (w < worker_dead.size() && worker_dead[w] != 0) return false;
     }
     try {
-      workers[w].channel->send(std::move(frame));
+      channels[w]->send(std::move(frame));
       return true;
     } catch (const std::exception& e) {
       mark_dead(w, e.what());
@@ -609,15 +620,11 @@ struct Cosmos::Fed {
     send_data(w, std::move(frame));
   }
 
-  void broadcast(const wire::Frame& frame) {
-    for (std::size_t w = 0; w < workers.size(); ++w) send(w, frame);
-  }
-
   /// Broadcast + retain for registration replay to respawned workers (and
   /// journal for replay to a restarted *driver*).
   void broadcast_logged(wire::Frame frame) {
     if (jw) jw->registration(frame);
-    broadcast(frame);
+    for (std::size_t w = 0; w < channels.size(); ++w) send(w, frame);
     reg_log.push_back(std::move(frame));
   }
 
@@ -648,7 +655,8 @@ struct Cosmos::Fed {
     return i < options.link_delay_ms.size() ? options.link_delay_ms[i] : 0;
   }
 
-  wire::HelloMsg hello_for(std::size_t i) const {
+  /// Queues worker i's kHello, then lets its channel heartbeat.
+  void hello_and_heartbeat(std::size_t i) {
     wire::HelloMsg hello;
     hello.worker_index = static_cast<std::uint32_t>(i);
     hello.shards = static_cast<std::uint32_t>(
@@ -659,24 +667,34 @@ struct Cosmos::Fed {
     hello.peer_links = options.peer_links ? 1 : 0;
     hello.heartbeat_every_ms = options.liveness.heartbeat_every_ms;
     hello.liveness_deadline_ms = options.liveness.deadline_ms;
-    return hello;
+    channels[i]->send(wire::encode_hello(hello));
+    channels[i]->set_liveness(options.liveness.heartbeat_every_ms,
+                              options.liveness.deadline_ms);
   }
 
-  /// Heartbeats stay off until hello_and_heartbeat(): a daemon drops a
-  /// connection whose first frame is not kHello.
-  wire::FrameChannel::Options channel_options(std::size_t i) const {
+  /// Opens worker i's channel and starts its reader. Heartbeats stay off
+  /// until hello_and_heartbeat(): a daemon drops a connection whose first
+  /// frame is not kHello.
+  void dial(std::size_t i) {
     wire::FrameChannel::Options copts;
     copts.send_queue_capacity = options.queue_capacity;
     copts.send_delay_ms = link_delay(i);
     copts.liveness_deadline_ms = options.liveness.deadline_ms;
-    return copts;
+    channels[i] = std::make_unique<wire::FrameChannel>(
+        wire::connect_to(wire::Endpoint::parse(options.workers[i])), copts);
+    channels[i]->start_reader(
+        [this, i](wire::Frame f) { on_frame(i, std::move(f)); },
+        [this, i](const std::string& err) { on_close(i, err); });
   }
 
-  /// Queues worker i's kHello, then lets its channel heartbeat.
-  void hello_and_heartbeat(std::size_t i) {
-    workers[i].channel->send(wire::encode_hello(hello_for(i)));
-    workers[i].channel->set_liveness(options.liveness.heartbeat_every_ms,
-                                     options.liveness.deadline_ms);
+  /// Adds `channel`'s traffic counters to `link`.
+  static void count_link(WireLinkStats& link,
+                         const wire::FrameChannel& channel) {
+    link.bytes_sent += channel.bytes_sent();
+    link.bytes_received += channel.bytes_received();
+    link.frames_sent += channel.frames_sent();
+    link.frames_received += channel.frames_received();
+    link.frames_dropped += channel.frames_dropped();
   }
 
   /// The seq frontier of every engine hosted at worker `w`, in engine
@@ -684,21 +702,53 @@ struct Cosmos::Fed {
   std::vector<wire::EngineFloor> floors_for(std::size_t w) const {
     std::vector<wire::EngineFloor> floors;
     for (const auto& [engine, hw] : worker_of_engine) {
-      if (hw != w) continue;
-      const auto it = next_exec_seq.find(engine.value());
-      floors.push_back(
-          {engine, it == next_exec_seq.end() ? 0 : it->second});
+      if (hw == w) floors.push_back({engine, exec_seq_of(engine)});
     }
-    std::sort(floors.begin(), floors.end(),
-              [](const wire::EngineFloor& a, const wire::EngineFloor& b) {
-                return a.engine.value() < b.engine.value();
-              });
     return floors;
+  }
+
+  /// `engine`'s execute seq frontier: the next seq the driver will assign.
+  std::uint64_t exec_seq_of(NodeId engine) const {
+    const auto it = next_exec_seq.find(engine.value());
+    return it == next_exec_seq.end() ? 0 : it->second;
+  }
+
+  /// Static engine placement: the units hosted at node h run on worker
+  /// h % N until a migration moves them.
+  void place_engines() {
+    for (const auto& [uid, unit] : sys.units_) {
+      worker_of_engine[unit.host] = unit.host.value() % channels.size();
+    }
+  }
+
+  /// kMigrateIn for `engine`: its units (doubling as their deployment)
+  /// plus `state`, cut at execute seq `exec_seq` — where the site resumes
+  /// ordering the engine's executes.
+  wire::MigrateInMsg migrate_in(NodeId engine,
+                                std::vector<wire::UnitStateMsg> state,
+                                std::uint64_t exec_seq) const {
+    wire::MigrateInMsg in;
+    in.engine = engine;
+    for (const auto& [uid, unit] : sys.units_) {
+      if (unit.host != engine) continue;
+      in.units.push_back({unit.id, unit.host, unit.result_stream, unit.spec});
+    }
+    in.state = std::move(state);
+    in.exec_seq = exec_seq;
+    return in;
+  }
+
+  /// Hands `in` to worker `w` and waits for its kMigrateAck.
+  void hand_in(std::size_t w, const wire::MigrateInMsg& in) {
+    send(w, wire::encode_migrate_in(in));
+    std::unique_lock lock{mu};
+    wait_for(lock, [&] { return migrate_acks.contains(in.engine.value()); });
+    migrate_acks.erase(in.engine.value());
   }
 
   void connect_all() {
     const std::size_t n = options.workers.size();
-    workers.resize(n);
+    channels.resize(n);
     worker_dead.assign(n, 0);
     retired.resize(n);
     // Each channel gets its reader and its kHello as soon as it is dialed:
@@ -706,18 +756,11 @@ struct Cosmos::Fed {
     // first must not wait unserved while slower-starting daemons are
     // still being dialed.
     for (std::size_t i = 0; i < n; ++i) {
-      Worker& w = workers[i];
-      w.endpoint = options.workers[i];
-      w.channel = std::make_unique<wire::FrameChannel>(
-          wire::connect_to(wire::Endpoint::parse(w.endpoint)),
-          channel_options(i));
-      w.channel->start_reader(
-          [this, i](wire::Frame f) { on_frame(i, std::move(f)); },
-          [this, i](const std::string& err) { on_close(i, err); });
+      dial(i);
       hello_and_heartbeat(i);
     }
     std::unique_lock lock{mu};
-    wait_for(lock, [&] { return hello_acks.size() >= workers.size(); });
+    wait_for(lock, [&] { return hello_acks.size() >= channels.size(); });
   }
 
   /// Ships everything a worker needs to be the driver's twin: the exact
@@ -732,25 +775,17 @@ struct Cosmos::Fed {
     topo.dense = lat.dense();
     broadcast_logged(wire::encode_topology(topo));
 
-    // Result streams stay driver-side: workers host the engines that emit
-    // them and ship the tuples back raw; p2 matching/delivery (and its
-    // traffic accounting) happens on the driver's own broker.
-    std::set<std::string> result_streams;
-    for (const auto& [uid, unit] : sys.units_) {
-      result_streams.insert(unit.result_stream);
-    }
-
+    // Only the sources are registered. Result streams stay driver-side:
+    // workers host the engines that emit them and ship the tuples back raw;
+    // p2 matching/delivery (and its traffic accounting) happens on the
+    // driver's own broker.
     for (auto* part : sys.broker_.partitions()) {
-      if (result_streams.contains(part->stream())) continue;
+      if (!sys.sources_.contains(part->stream())) continue;
       wire::RegisterStreamMsg reg_msg;
       reg_msg.stream = part->stream();
       reg_msg.publisher = part->publisher();
       reg_msg.schema = part->schema();
       broadcast_logged(wire::encode_register_stream(reg_msg));
-      // Static stream ownership: the publisher node's index modulo the
-      // worker count, the same deterministic spread run() uses for shards.
-      worker_of_stream.emplace(part->stream(),
-                               part->publisher().value() % workers.size());
     }
 
     for (const auto& [uid, unit] : sys.units_) {
@@ -772,20 +807,19 @@ struct Cosmos::Fed {
       broadcast_logged(wire::encode_peer_table(table));
     }
 
+    place_engines();
     for (const auto& [uid, unit] : sys.units_) {
-      const std::size_t host_worker = unit.host.value() % workers.size();
-      worker_of_engine[unit.host] = host_worker;
       wire::DeployUnitMsg deploy;
       deploy.unit_id = unit.id;
       deploy.host = unit.host;
       deploy.result_stream = unit.result_stream;
       deploy.spec = unit.spec;
-      send(host_worker, wire::encode_deploy_unit(deploy));
+      send(worker_of_engine.at(unit.host), wire::encode_deploy_unit(deploy));
     }
 
     // Barrier: surfaces registration/deployment faults before any data
     // flows (per-channel FIFO already orders the frames themselves).
-    flush_all();
+    flush_targets(all_workers());
 
     // Initial (empty-state) checkpoint, then arm recovery: from here on a
     // channel death is a respawn, not a session fault.
@@ -826,83 +860,42 @@ struct Cosmos::Fed {
 
     for (const auto& frame : rec.registrations) broadcast_logged(frame);
 
-    // Rebuild the routing tables exactly as replicate() derives them (both
-    // are deterministic in sys), then let the journaled engine states
-    // override the placement where a pre-crash migration moved an engine.
-    std::set<std::string> result_streams;
-    for (const auto& [uid, unit] : sys.units_) {
-      result_streams.insert(unit.result_stream);
-    }
-    for (auto* part : sys.broker_.partitions()) {
-      if (result_streams.contains(part->stream())) continue;
-      worker_of_stream.emplace(part->stream(),
-                               part->publisher().value() % workers.size());
-    }
-    for (const auto& [uid, unit] : sys.units_) {
-      worker_of_engine[unit.host] = unit.host.value() % workers.size();
-    }
+    // Place the engines exactly as replicate() does (deterministic in
+    // sys), then let the journaled engine states override the placement
+    // where a pre-crash migration moved an engine.
+    place_engines();
     std::unordered_map<std::uint64_t, const journal::EngineState*> saved;
     for (const auto& es : rec.engines) {
       worker_of_engine[es.engine] = es.worker;
       saved.emplace(es.engine.value(), &es);
     }
-
-    std::vector<std::pair<NodeId, std::size_t>> placement(
-        worker_of_engine.begin(), worker_of_engine.end());
-    std::sort(placement.begin(), placement.end(),
-              [](const auto& a, const auto& b) {
-                return a.first.value() < b.first.value();
-              });
-    for (const auto& [engine, hw] : placement) {
-      wire::MigrateInMsg in;
-      in.engine = engine;
-      for (const auto& [uid, unit] : sys.units_) {
-        if (unit.host != engine) continue;
-        in.units.push_back(
-            {unit.id, unit.host, unit.result_stream, unit.spec});
-      }
+    for (const auto& [engine, hw] : worker_of_engine) {
       EngineCheckpoint ec;
       if (const auto sit = saved.find(engine.value()); sit != saved.end()) {
-        in.state = sit->second->units;
-        in.exec_seq = sit->second->exec_seq;
         ec.state = sit->second->units;
         ec.exec_seq = sit->second->exec_seq;
       }
-      next_exec_seq[engine.value()] = in.exec_seq;
+      next_exec_seq[engine.value()] = ec.exec_seq;
+      hand_in(hw, migrate_in(engine, ec.state, ec.exec_seq));
       ckpt.emplace(engine.value(), std::move(ec));
-      send(hw, wire::encode_migrate_in(in));
-      {
-        std::unique_lock lock{mu};
-        wait_for(lock,
-                 [&] { return migrate_acks.contains(engine.value()); });
-        migrate_acks.erase(engine.value());
-      }
     }
 
-    // Replay the journaled whole-chunk bundles in route order as driver
-    // sends, re-advancing each engine's seq frontier past them. A bundle
-    // is re-split by the restored placement (an engine migrated after the
-    // cut is back on its checkpoint worker). The slices also seed the
-    // in-memory data log: with worker recovery on, the since-checkpoint
-    // window must be re-sendable until the fresh cut below resets it.
+    // The journaled whole-chunk bundles seed the data log (a journaled run
+    // always keeps one): with worker recovery on, the since-checkpoint
+    // window must be re-sendable until the fresh cut below resets it. Then
+    // they replay in route order as driver sends, re-split by the restored
+    // placement (an engine migrated after the cut is back on its checkpoint
+    // worker), and each engine's seq frontier moves past them.
     for (const auto& b : rec.bundles) {
       const std::uint64_t chunk = ++logged_chunks;
-      std::map<std::size_t, wire::ExecuteBundleMsg> by_worker;
       for (const auto& e : b.entries) {
         auto& frontier = next_exec_seq[e.engine.value()];
         frontier = std::max(frontier, e.seq + 1);
-        auto& out = by_worker[worker_of_engine.at(e.engine)];
-        out.ingest_ns = b.ingest_ns;
-        out.add(e.engine, e.seq, b.runs[e.run], e.rows);
-        if (log_data) {
-          log_append({SIZE_MAX, e.engine, e.seq, b.runs[e.run], e.rows,
-                      b.ingest_ns, chunk});
-        }
-      }
-      for (const auto& [w, out] : by_worker) {
-        send_bundle(w, wire::encode_execute_bundle(out));
+        log_append({SIZE_MAX, e.engine, e.seq, b.runs[e.run], e.rows,
+                    b.ingest_ns, chunk});
       }
     }
+    replay_entries([](const DataLogEntry&) { return true; });
 
     // Restore stream time after the replay (floors make the sites defer
     // pruning until every replayed execute applied), and arm suppression of
@@ -910,7 +903,7 @@ struct Cosmos::Fed {
     if (rec.has_watermark) {
       last_watermark = rec.watermark;
       has_watermark = true;
-      for (std::size_t w = 0; w < workers.size(); ++w) {
+      for (std::size_t w = 0; w < channels.size(); ++w) {
         send_data(w,
                   wire::encode_watermark({last_watermark, floors_for(w)}));
       }
@@ -924,8 +917,7 @@ struct Cosmos::Fed {
     // or delivered — the suppression floor is exactly consumed (delivered
     // records are journaled after their chunk's marker, so every counted
     // result's execute is in the replayed prefix).
-    flush_all();
-    drain_deliver();
+    quiesce(all_workers());
     events_consumed = rec.resume_events;
     chunk_index = rec.resume_chunk;
 
@@ -952,314 +944,193 @@ struct Cosmos::Fed {
       std::lock_guard lock{mu};
       outstanding_flush = OutstandingFlush{seq, targets};
     }
-    for (const auto w : targets) {
-      send_data(w, wire::encode_flush({seq, floors_for(w)}));
-    }
-    std::unique_lock lock{mu};
-    wait_for(
-        lock,
-        [&] {
+    const auto flush = [&](std::size_t w) {
+      return wire::encode_flush({seq, floors_for(w)});
+    };
+    for (const auto w : targets) send_data(w, flush(w));
+    // Duplicate flushes re-ack into the same per-worker set.
+    await_all(
+        targets,
+        [&](std::size_t w) {
           const auto it = flush_acks.find(seq);
-          if (it == flush_acks.end()) return targets.empty();
-          for (const auto w : targets) {
-            if (!it->second.contains(w)) return false;
-          }
-          return true;
+          return it != flush_acks.end() && it->second.contains(w);
         },
-        /*on_stall=*/[&] {
-          // A drop fault may have swallowed the kFlush (or its ack);
-          // re-send to whoever has not answered. Duplicate flushes re-ack
-          // into the same per-worker set.
-          std::set<std::size_t> missing;
-          {
-            std::lock_guard g{mu};
-            const auto it = flush_acks.find(seq);
-            for (const auto w : targets) {
-              if (it == flush_acks.end() || !it->second.contains(w)) {
-                missing.insert(w);
-              }
-            }
-          }
-          for (const auto w : missing) {
-            resend_stalled(w, wire::encode_flush({seq, floors_for(w)}));
-          }
-        });
-    flush_acks.erase(seq);
-    outstanding_flush.reset();
-    if (targets.size() >= workers.size()) note_all_acked_floors();
-  }
-
-  void flush_worker(std::size_t w) { flush_targets({w}); }
-
-  void flush_all() {
-    std::set<std::size_t> all;
-    for (std::size_t w = 0; w < workers.size(); ++w) all.insert(w);
-    flush_targets(all);
-  }
-
-  /// p2 leg: result tuples the readers collected, delivered on the driver
-  /// thread in arrival order (per engine that is emission order — one
-  /// engine lives on one worker and executes in seq order). Re-emissions
-  /// from a recovery replay are skipped through pending_discard without
-  /// recounting, so each result reaches the user callback exactly once.
-  void drain_deliver() {
-    std::vector<InboxResult> batch;
+        [&](std::size_t w) { resend_stalled(w, flush(w)); });
     {
       std::lock_guard lock{mu};
-      batch.swap(results_inbox);
+      flush_acks.erase(seq);
+      outstanding_flush.reset();
     }
-    if (batch.empty()) return;
-    const double cpu0 = thread_cpu_seconds();
-    const obs::Span span{"deliver", "driver", batch.size()};
-    const std::uint64_t now = now_ns();
-    // Partition out replay re-emissions first: what remains is exactly what
-    // reaches the user callbacks, so with journaling on it can be written
-    // as the delivered floor *before* any callback runs — a resumed driver
-    // then suppresses re-deliveries it can no longer remember making.
-    std::vector<const InboxResult*> deliver;
-    deliver.reserve(batch.size());
-    for (const auto& r : batch) {
-      if (!pending_discard.empty()) {
-        const auto dit = pending_discard.find(r.ev.stream);
-        if (dit != pending_discard.end() && dit->second > 0) {
-          --dit->second;
-          continue;
-        }
-      }
-      deliver.push_back(&r);
-    }
-    if (jw && !deliver.empty()) {
-      std::map<std::string, std::uint64_t> counts;
-      for (const auto* r : deliver) ++counts[r->ev.stream];
-      std::vector<journal::DeliveredCount> floor;
-      floor.reserve(counts.size());
-      for (const auto& [stream, count] : counts) {
-        floor.push_back({stream, count});
-      }
-      jw->delivered(floor);
-    }
-    for (const auto* r : deliver) {
-      const auto& ev = r->ev;
-      // Close the end-to-end measurement here: p2 delivery completes on
-      // the driver thread, and worker/driver now_ns share a clock epoch
-      // (same host, CLOCK_MONOTONIC), so ingest stamps compare directly.
-      if (ev.ingest_ns != 0 && now > ev.ingest_ns) {
-        e2e->record(now - ev.ingest_ns);
-      }
-      sys.deliver_result(ev.stream, ev.tuple);
-      if (options.recovery.enabled) ++delivered_since_ckpt[ev.stream];
-    }
-    report.driver.deliver_cpu_seconds += thread_cpu_seconds() - cpu0;
+    if (targets.size() >= channels.size()) note_all_acked_floors();
   }
 
-  // --- chunk pipeline ------------------------------------------------------
+  std::set<std::size_t> all_workers() const {
+    std::set<std::size_t> all;
+    for (std::size_t w = 0; w < channels.size(); ++w) all.insert(w);
+    return all;
+  }
 
-  void dispatch(runtime::Chunk&& chunk) {
-    const double cpu0 = thread_cpu_seconds();
-    const obs::Span span{"dispatch", "driver", chunk.runs.size()};
+  /// A quiesce point: route and execute every in-flight chunk, flush
+  /// `targets` — each flush ack follows every result of every execute
+  /// routed before it on that worker's FIFO channel — and deliver those
+  /// results.
+  void quiesce(const std::set<std::size_t>& targets) {
+    core.drain_window();
+    flush_targets(targets);
+    core.deliver();
+  }
+
+  // --- the pipeline's fleet interface -------------------------------------
+
+  void start() override {
+    connect_all();
+    if (resume_state != nullptr) {
+      resume_replicate();
+      return;
+    }
+    if (!options.journal.dir.empty()) {
+      jw = journal::Writer::create(options.journal.dir, journal_meta(),
+                                   journal_options());
+    }
+    replicate();
+  }
+
+  /// Static stream ownership: the publisher node's index modulo the worker
+  /// count, the same deterministic spread run() uses for shards.
+  std::size_t owner_of(const pubsub::BrokerPartition& part) const override {
+    return part.publisher().value() % channels.size();
+  }
+
+  /// Scripted migrations, fault schedules, checkpoints and retention floors
+  /// come due at chunk boundaries, by the next chunk's first timestamp.
+  void before_chunk(stream::Timestamp first_ts) override {
+    run_migrations_due(first_ts);
+    run_faults_due(first_ts);
+    maybe_checkpoint(first_ts);
+    maybe_floor(first_ts);
+  }
+
+  /// One kMatchRequest per group, to its owner.
+  void match(const Pipeline::Chunk& chunk) override {
     PendingChunk pc;
-    pc.last_ts = chunk.last_ts;
-    pc.ingest_ns = chunk.ingest_ns;
     pc.index = chunk_index;
     events_consumed += chunk.tuples;
     pc.events_through = events_consumed;
-    pc.runs.reserve(chunk.runs.size());
-    std::vector<std::size_t> match_of_owner(workers.size(), SIZE_MAX);
-    for (runtime::TupleBatch& run : chunk.runs) {
-      auto* part = sys.broker_.partition(run.stream());
-      if (part == nullptr) {
-        // Same contract as push(): publishing an unadvertised stream is a
-        // caller error, not a silent drop.
-        throw std::invalid_argument{
-            "BrokerNetwork: publish to unadvertised " + run.stream()};
+    for (const auto& group : chunk.groups) {
+      PendingMatch pm{group.owner, {next_job++, {}}};
+      for (const auto r : group.runs) {
+        pm.request.runs.push_back(chunk.runs[r].batch);
       }
-      PendingRun pr;
-      pr.run = std::make_shared<const runtime::TupleBatch>(std::move(run));
-      // The driver's partition holds exactly the p1 subscriptions the
-      // owner worker's does, so the skip-when-unsubscribed fast path can
-      // be decided locally without a round trip.
-      if (part->subscription_count() > 0) {
-        const auto oit = worker_of_stream.find(pr.run->stream());
-        if (oit == worker_of_stream.end()) {
-          throw std::invalid_argument{
-              "Cosmos: federated trace event on non-source stream " +
-              pr.run->stream()};
-        }
-        pr.owner = oit->second;
-        // One match request per (chunk, owner), runs in chunk order.
-        std::size_t& mi = match_of_owner[pr.owner];
-        if (mi == SIZE_MAX) {
-          mi = pc.matches.size();
-          pc.matches.push_back({pr.owner, {next_job++, {}}});
-        }
-        pr.match = mi;
-        auto& runs = pc.matches[mi].request.runs;
-        pr.slot = static_cast<std::uint32_t>(runs.size());
-        runs.push_back(pr.run);
-      }
-      pc.runs.push_back(std::move(pr));
-    }
-    for (const auto& pm : pc.matches) {
       send_data(pm.owner, wire::encode_match_request(pm.request));
+      pc.matches.push_back(std::move(pm));
     }
     pending.push_back(std::move(pc));
-    ++report.chunks;
-    report.driver.dispatch_cpu_seconds += thread_cpu_seconds() - cpu0;
+    if (options.on_chunk) options.on_chunk(chunk_index);
+    ++chunk_index;
   }
 
-  /// Awaits the oldest in-flight chunk's match responses (one per owner),
-  /// routes them into execute bundles, and sends each worker the chunk
-  /// watermark with its current seq floors.
-  void complete_front() {
+  /// Awaits the oldest chunk's match responses (one per owner) and
+  /// validates them into the pipeline's match results: a response of the
+  /// wrong shape, an unknown subscription or a row out of range is a
+  /// wire::Error.
+  void await_match(const Pipeline::Chunk& chunk,
+                   Pipeline::Matches& matches) override {
     // The front chunk stays in `pending` across the wait: a recovery
     // dispatched from wait_for re-sends match requests by walking
     // `pending`, and popping first would hide exactly the requests that
     // died with the worker (the wait would then never finish).
-    const auto& matches = pending.front().matches;
-    std::vector<wire::MatchResponseMsg> responses(matches.size());
+    const auto& front = pending.front().matches;
+    // Duplicate responses are emplace-deduped.
+    await_all(
+        front,
+        [&](const PendingMatch& pm) {
+          return match_responses.contains(pm.request.job);
+        },
+        [&](const PendingMatch& pm) {
+          resend_stalled(pm.owner, wire::encode_match_request(pm.request));
+        });
+    std::vector<wire::MatchResponseMsg> responses(front.size());
     {
-      const TimePoint wait0 = Clock::now();
-      const obs::Span span{"match_wait", "driver",
-                           pending.front().runs.size()};
-      std::unique_lock lock{mu};
-      wait_for(
-          lock,
-          [&] {
-            for (const auto& pm : matches) {
-              if (!match_responses.contains(pm.request.job)) return false;
-            }
-            return true;
-          },
-          /*on_stall=*/[&] {
-            // Re-send every still-unanswered match request: a drop fault
-            // can swallow the request (or the response) with the owner
-            // alive. Duplicate responses are emplace-deduped.
-            for (const auto& pm : matches) {
-              bool answered = false;
-              {
-                std::lock_guard g{mu};
-                answered = match_responses.contains(pm.request.job);
-              }
-              if (!answered) {
-                resend_stalled(pm.owner,
-                               wire::encode_match_request(pm.request));
-              }
-            }
-          });
-      report.driver.match_wait_seconds += seconds_since(wait0);
-      for (std::size_t m = 0; m < matches.size(); ++m) {
-        auto node = match_responses.extract(matches[m].request.job);
+      std::lock_guard lock{mu};
+      for (std::size_t m = 0; m < front.size(); ++m) {
+        auto node = match_responses.extract(front[m].request.job);
         responses[m] = std::move(node.mapped());
       }
     }
-    PendingChunk chunk = std::move(pending.front());
+    routed = std::move(pending.front());
     pending.pop_front();
-    for (std::size_t m = 0; m < chunk.matches.size(); ++m) {
-      if (responses[m].runs.size() != chunk.matches[m].request.runs.size()) {
+    for (std::size_t m = 0; m < responses.size(); ++m) {
+      const Pipeline::Group& group = chunk.groups[m];
+      if (responses[m].runs.size() != group.runs.size()) {
         throw wire::Error{
             "Cosmos federation: match response covers " +
             std::to_string(responses[m].runs.size()) + " runs, request had " +
-            std::to_string(chunk.matches[m].request.runs.size())};
+            std::to_string(group.runs.size())};
+      }
+      for (std::size_t slot = 0; slot < group.runs.size(); ++slot) {
+        const std::uint32_t r = group.runs[slot];
+        const runtime::TupleBatch& run = *chunk.runs[r].batch;
+        for (auto& [sub_id, rows] : responses[m].runs[slot]) {
+          const auto* sub = sys.broker_.subscription(sub_id);
+          if (sub == nullptr) {
+            throw wire::Error{
+                "Cosmos federation: match response names unknown "
+                "subscription"};
+          }
+          for (const auto row : rows) {
+            if (row >= run.size()) {
+              throw wire::Error{"Cosmos federation: matched row out of range"};
+            }
+          }
+          matches[r].push_back({sub, &run, std::move(rows)});
+        }
       }
     }
-
-    route_and_execute(chunk, responses);
-    // The chunk-routed marker lands only after every bundle of the chunk
-    // is journaled: recovery replays whole-chunk prefixes and regenerates a
-    // partial tail by deterministic re-routing (see journal::ChunkRouted).
-    if (jw) {
-      jw->chunk_routed({chunk.index, chunk.events_through, chunk.last_ts});
-    }
-    // Watermark after the chunk's bundles: the per-engine floors make the
-    // site defer pruning until every older slice (possibly still in
-    // flight on a peer link) has been applied, so join-state pruning only
-    // drops tuples no future arrival can pair with.
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      send_data(w, wire::encode_watermark({chunk.last_ts, floors_for(w)}));
-    }
-    last_watermark = chunk.last_ts;
-    has_watermark = true;
   }
 
-  /// The route stage of run(), frame-producing: union of matched rows per
-  /// subscriber engine (a tuple reaches an engine once however many
-  /// subscriptions matched), one slice per (run, engine) stamped with its
-  /// engine's next seq. Star path: the slices go into one execute bundle
-  /// per target worker, sent by the driver. Peer-link path: each match
-  /// owner gets one compact kRouteDecision for the chunk and ships bundles
-  /// of its retained runs worker-to-worker. With journaling on, one bundle
-  /// per target worker holding every slice of the chunk is journaled.
-  /// Either way every slice is appended to the data log for replay.
-  void route_and_execute(const PendingChunk& chunk,
-                         const std::vector<wire::MatchResponseMsg>& responses) {
-    const double route_cpu0 = thread_cpu_seconds();
-    const obs::Span route_span{"route", "driver", chunk.runs.size()};
-    const std::size_t n = workers.size();
+  /// Stamps every routed slice with its engine's next seq and ships it:
+  /// star path, one driver-sent execute bundle per target worker; peer-link
+  /// path, one compact kRouteDecision per match owner, which ships bundles
+  /// of its retained runs worker-to-worker. Every slice goes to the data
+  /// log; with journaling on, one bundle per target worker holding every
+  /// slice of the chunk is journaled, then the chunk-routed marker. Last,
+  /// every worker gets the chunk's watermark.
+  void execute(const Pipeline::Chunk& chunk,
+               std::vector<Pipeline::Slice> slices) override {
+    const std::size_t n = channels.size();
     std::vector<wire::ExecuteBundleMsg> star(n);
     // Peer-link mode journals a separate bundle per target holding every
     // slice (star and peer-shipped alike); star mode journals `star`.
     std::vector<wire::ExecuteBundleMsg> journaled(
         jw && options.peer_links ? n : 0);
     std::vector<wire::RouteDecisionMsg> decisions(
-        options.peer_links ? chunk.matches.size() : 0);
+        options.peer_links ? routed.matches.size() : 0);
     const std::uint64_t logged = ++logged_chunks;
-    std::map<NodeId, std::vector<char>> mask_of;
-    for (const PendingRun& pr : chunk.runs) {
-      if (pr.match == SIZE_MAX) continue;  // unsubscribed: nothing matched
-      const auto& run = *pr.run;
-      mask_of.clear();
-      for (const auto& [sub_id, rows] : responses[pr.match].runs[pr.slot]) {
-        const auto* sub = sys.broker_.subscription(sub_id);
-        if (sub == nullptr) {
-          throw wire::Error{
-              "Cosmos federation: match response names unknown subscription"};
-        }
-        if (sys.p2_owner_.contains(sub_id)) continue;
-        auto& mask =
-            mask_of.try_emplace(sub->subscriber, run.size(), char{0})
-                .first->second;
-        for (const auto row : rows) {
-          if (row >= mask.size()) {
-            throw wire::Error{"Cosmos federation: matched row out of range"};
-          }
-          mask[row] = 1;
-        }
+    for (auto& slice : slices) {
+      const Pipeline::Run& run = chunk.runs[slice.run];
+      const std::size_t owner = chunk.groups[run.group].owner;
+      const std::uint64_t seq = next_exec_seq[slice.engine.value()]++;
+      const std::size_t tgt = worker_of_engine.at(slice.engine);
+      // A pair whose peer link fell back to star routing (kPeerDown) gets
+      // its slices from the driver for the rest of the run.
+      const bool peer_path =
+          options.peer_links &&
+          !peer_down_pairs.contains({static_cast<std::uint32_t>(owner),
+                                     static_cast<std::uint32_t>(tgt)});
+      if (peer_path) {
+        decisions[run.group].targets.push_back(
+            {slice.engine, static_cast<std::uint32_t>(tgt), seq, run.slot,
+             slice.rows});
+      } else {
+        star[tgt].add(slice.engine, seq, run.batch, slice.rows);
       }
-      for (const auto& [node, mask] : mask_of) {
-        const auto eit = sys.engines_.find(node);
-        if (eit == sys.engines_.end() ||
-            !eit->second->has_stream(run.stream())) {
-          continue;
-        }
-        std::size_t matched_rows = 0;
-        for (const char m : mask) matched_rows += m != 0;
-        if (matched_rows == 0) continue;
-        const std::uint64_t seq = next_exec_seq[node.value()]++;
-        std::vector<std::uint32_t> rows;
-        if (matched_rows < run.size()) {
-          rows.reserve(matched_rows);
-          for (std::uint32_t r = 0; r < mask.size(); ++r) {
-            if (mask[r] != 0) rows.push_back(r);
-          }
-        }
-        const std::size_t tgt = worker_of_engine.at(node);
-        // A pair whose peer link fell back to star routing (kPeerDown)
-        // gets its slices from the driver for the rest of the run.
-        const bool peer_path =
-            options.peer_links &&
-            !peer_down_pairs.contains({static_cast<std::uint32_t>(pr.owner),
-                                       static_cast<std::uint32_t>(tgt)});
-        if (peer_path) {
-          decisions[pr.match].targets.push_back(
-              {node, static_cast<std::uint32_t>(tgt), seq, pr.slot, rows});
-        } else {
-          star[tgt].add(node, seq, pr.run, rows);
-        }
-        if (!journaled.empty()) journaled[tgt].add(node, seq, pr.run, rows);
-        if (log_data) {
-          log_append({peer_path ? pr.owner : SIZE_MAX, node, seq, pr.run,
-                      std::move(rows), chunk.ingest_ns, logged});
-        }
+      if (!journaled.empty()) {
+        journaled[tgt].add(slice.engine, seq, run.batch, slice.rows);
+      }
+      if (log_data) {
+        log_append({peer_path ? owner : SIZE_MAX, slice.engine, seq,
+                    run.batch, std::move(slice.rows), chunk.ingest_ns,
+                    logged});
       }
     }
     // Journal before anything ships: once an owner slices and sends
@@ -1278,12 +1149,94 @@ struct Cosmos::Fed {
     }
     // Sent even with no targets: the owner frees the retained runs.
     for (std::size_t m = 0; m < decisions.size(); ++m) {
-      decisions[m].job = chunk.matches[m].request.job;
+      decisions[m].job = routed.matches[m].request.job;
       decisions[m].ingest_ns = chunk.ingest_ns;
-      send_data(chunk.matches[m].owner,
+      send_data(routed.matches[m].owner,
                 wire::encode_route_decision(decisions[m]));
     }
-    report.driver.route_cpu_seconds += thread_cpu_seconds() - route_cpu0;
+    // The chunk-routed marker lands only after every bundle of the chunk
+    // is journaled: recovery replays whole-chunk prefixes and regenerates a
+    // partial tail by deterministic re-routing (see journal::ChunkRouted).
+    if (jw) {
+      jw->chunk_routed({routed.index, routed.events_through, chunk.last_ts});
+    }
+    // Watermark after the chunk's bundles: the per-engine floors make the
+    // site defer pruning until every older slice (possibly still in
+    // flight on a peer link) has been applied, so join-state pruning only
+    // drops tuples no future arrival can pair with.
+    for (std::size_t w = 0; w < n; ++w) {
+      send_data(w, wire::encode_watermark({chunk.last_ts, floors_for(w)}));
+    }
+    last_watermark = chunk.last_ts;
+    has_watermark = true;
+  }
+
+  /// The results the readers collected, in arrival order (per engine that
+  /// is emission order). Recovery-replay re-emissions are dropped through
+  /// pending_discard, so each result reaches its callback once. With
+  /// journaling on, the rest is written as the delivered floor *before*
+  /// any callback runs — a resumed driver then suppresses re-deliveries it
+  /// can no longer remember making.
+  void take_results(std::vector<wire::ResultEventMsg>& out) override {
+    out.clear();
+    {
+      std::lock_guard lock{mu};
+      taken.swap(results_inbox);
+    }
+    for (auto& r : taken) {
+      if (!pending_discard.empty()) {
+        const auto dit = pending_discard.find(r.ev.stream);
+        if (dit != pending_discard.end() && dit->second > 0) {
+          --dit->second;
+          continue;
+        }
+      }
+      out.push_back(std::move(r.ev));
+    }
+    taken.clear();
+    if (out.empty()) return;
+    if (jw) {
+      std::map<std::string, std::uint64_t> counts;
+      for (const auto& ev : out) ++counts[ev.stream];
+      std::vector<journal::DeliveredCount> floor;
+      floor.reserve(counts.size());
+      for (const auto& [stream, count] : counts) {
+        floor.push_back({stream, count});
+      }
+      jw->delivered(floor);
+    }
+    if (options.recovery.enabled) {
+      for (const auto& ev : out) ++delivered_since_ckpt[ev.stream];
+    }
+  }
+
+  /// Flush acks follow each worker's last results on its FIFO channel, so
+  /// after this barrier the inbox holds every result of the run.
+  void finish() override { flush_targets(all_workers()); }
+
+  void close() override {
+    collect_traffic();
+    // After the final flush barrier every worker's closing sample (sent
+    // ahead of its flush ack on the FIFO channel) is already in the inbox.
+    harvest_samples();
+    shutdown();
+
+    report.federation.workers = channels.size();
+    report.federation.driver_execute_bytes = driver_execute_bytes;
+    if (jw) {
+      report.federation.journal_bytes = jw->bytes_written();
+      report.federation.journal_fsyncs = jw->fsyncs();
+    }
+    report.federation.data_log_appended = data_log_appended;
+    report.federation.data_log_peak_entries = data_log_peak;
+    if (resume_state != nullptr) {
+      report.federation.journal_rollbacks = resume_state->segments_rolled_back;
+      report.federation.journal_torn_tail = resume_state->torn_tail;
+      report.federation.journal_records_dropped =
+          resume_state->records_dropped;
+      report.federation.resume_skipped_events =
+          static_cast<std::size_t>(resume_state->resume_events);
+    }
   }
 
   // --- worker restart recovery ---------------------------------------------
@@ -1312,13 +1265,8 @@ struct Cosmos::Fed {
 
     // Retire the dead channel (close joins its reader thread, so no
     // callback can race what follows) and keep its traffic totals.
-    Worker& w = workers[i];
-    retired[i].bytes_sent += w.channel->bytes_sent();
-    retired[i].bytes_received += w.channel->bytes_received();
-    retired[i].frames_sent += w.channel->frames_sent();
-    retired[i].frames_received += w.channel->frames_received();
-    w.channel->close();
-    retired[i].frames_dropped += w.channel->frames_dropped();
+    channels[i]->close();
+    count_link(retired[i], *channels[i]);
 
     // Purge what the dead incarnation owned. Its flush acks are retracted
     // (the respawn must re-answer after the replay) and its undelivered
@@ -1349,24 +1297,20 @@ struct Cosmos::Fed {
     }
     // The respawn always gets a fresh, fault-free channel: injected fault
     // plans die with the incarnation they were installed on.
-    auto& proc = respawned.emplace_back(node::spawn_noded(noded, w.endpoint));
+    auto& proc =
+        respawned.emplace_back(node::spawn_noded(noded, options.workers[i]));
     respawn_of[i] = respawned.size() - 1;
     if (options.on_respawn) options.on_respawn(i, proc.pid());
 
-    w.channel = std::make_unique<wire::FrameChannel>(
-        wire::connect_to(wire::Endpoint::parse(w.endpoint)),
-        channel_options(i));
     {
       std::lock_guard lock{mu};
       worker_dead[i] = 0;
     }
-    w.channel->start_reader(
-        [this, i](wire::Frame f) { on_frame(i, std::move(f)); },
-        [this, i](const std::string& err) { on_close(i, err); });
+    dial(i);
 
     try {
       hello_and_heartbeat(i);
-      for (const auto& f : reg_log) w.channel->send(f);
+      for (const auto& f : reg_log) channels[i]->send(f);
       {
         std::unique_lock lock{mu};
         if (!wait_recovery(lock, i,
@@ -1378,28 +1322,11 @@ struct Cosmos::Fed {
       // Re-hand-off each hosted engine: units + checkpointed state + the
       // seq cut the site resumes ordering at. kMigrateIn doubles as the
       // deployment, which is why deploys are not in reg_log.
-      std::vector<NodeId> hosted;
       for (const auto& [engine, hw] : worker_of_engine) {
-        if (hw == i) hosted.push_back(engine);
-      }
-      std::sort(hosted.begin(), hosted.end(),
-                [](const NodeId& a, const NodeId& b) {
-                  return a.value() < b.value();
-                });
-      for (const auto engine : hosted) {
-        wire::MigrateInMsg in;
-        in.engine = engine;
-        for (const auto& [uid, unit] : sys.units_) {
-          if (unit.host != engine) continue;
-          in.units.push_back(
-              {unit.id, unit.host, unit.result_stream, unit.spec});
-        }
-        const auto cit = ckpt.find(engine.value());
-        if (cit != ckpt.end()) {
-          in.state = cit->second.state;
-          in.exec_seq = cit->second.exec_seq;
-        }
-        w.channel->send(wire::encode_migrate_in(in));
+        if (hw != i) continue;
+        const EngineCheckpoint& ec = ckpt[engine.value()];
+        channels[i]->send(wire::encode_migrate_in(
+            migrate_in(engine, ec.state, ec.exec_seq)));
         {
           std::unique_lock lock{mu};
           if (!wait_recovery(lock, i, [&] {
@@ -1490,60 +1417,46 @@ struct Cosmos::Fed {
     }
   }
 
-  /// Periodic recovery checkpoint, taken between chunks: quiesce (drain
-  /// window + flush + deliver), then pull every engine's state with a
-  /// keep-mode kMigrateOut. On success the data log and delivery counts
-  /// reset to the new cut. A recovery racing any of the waits aborts the
-  /// attempt (the cut would straddle the replay); the next chunk retries.
+  /// Periodic recovery checkpoint, taken between chunks: quiesce, then
+  /// pull every engine's state with a keep-mode kMigrateOut. On success the
+  /// data log and delivery counts reset to the new cut. A recovery racing
+  /// any of the waits aborts the attempt (the cut would straddle the
+  /// replay); the next chunk retries.
   bool checkpoint() {
     const std::size_t recoveries0 = report.federation.recoveries;
     const obs::Span span{"checkpoint", "driver", ckpt.size()};
-    while (!pending.empty()) complete_front();
-    flush_all();
-    drain_deliver();
+    quiesce(all_workers());
     if (report.federation.recoveries != recoveries0) return false;
 
-    std::vector<std::pair<NodeId, std::size_t>> placement(
-        worker_of_engine.begin(), worker_of_engine.end());
-    std::sort(placement.begin(), placement.end(),
-              [](const auto& a, const auto& b) {
-                return a.first.value() < b.first.value();
-              });
     // From here on the cut is being journaled into a fresh pending segment;
     // an aborted attempt unlinks it and the previous segment stays live.
     if (jw) jw->begin_checkpoint();
     std::unordered_map<std::uint64_t, EngineCheckpoint> fresh;
-    for (const auto& [engine, hw] : placement) {
+    for (const auto& [engine, hw] : worker_of_engine) {
       {
         std::lock_guard lock{mu};
         handoffs.erase(engine.value());  // stale duplicate from a re-request
         outstanding_ckpt_out = std::pair{engine, hw};
       }
-      send_data(hw, wire::encode_migrate_out({engine, /*keep=*/1}));
-      wire::StateHandoffMsg handed;
+      const auto pull = wire::encode_migrate_out({engine, /*keep=*/1});
+      send_data(hw, pull);
+      // A duplicate handoff is byte-identical (same flush + seq cut) and
+      // insert_or_assign-deduped.
+      await_all(
+          std::array{hw},
+          [&](std::size_t) { return handoffs.contains(engine.value()); },
+          [&](std::size_t) { resend_stalled(hw, pull); });
+      EngineCheckpoint ec{{}, exec_seq_of(engine)};
       {
-        std::unique_lock lock{mu};
-        wait_for(
-            lock, [&] { return handoffs.contains(engine.value()); },
-            /*on_stall=*/[&] {
-              // Keep-mode kMigrateOut lost to a drop fault: re-request.
-              // A duplicate handoff is byte-identical (same flush + seq
-              // cut) and insert_or_assign-deduped.
-              resend_stalled(hw,
-                             wire::encode_migrate_out({engine, /*keep=*/1}));
-            });
-        auto node = handoffs.extract(engine.value());
-        handed = std::move(node.mapped().first);
+        std::lock_guard lock{mu};
+        ec.state =
+            std::move(handoffs.extract(engine.value()).mapped().first.units);
         outstanding_ckpt_out.reset();
       }
       if (report.federation.recoveries != recoveries0) {
         if (jw) jw->abort_checkpoint();
         return false;
       }
-      EngineCheckpoint ec;
-      ec.state = std::move(handed.units);
-      const auto sit = next_exec_seq.find(engine.value());
-      ec.exec_seq = sit == next_exec_seq.end() ? 0 : sit->second;
       if (jw) {
         jw->engine_state({engine, static_cast<std::uint32_t>(hw),
                           ec.exec_seq, ec.state});
@@ -1557,7 +1470,7 @@ struct Cosmos::Fed {
       c.chunk_index = chunk_index;
       c.watermark = last_watermark;
       c.has_watermark = has_watermark;
-      c.engine_states = placement.size();
+      c.engine_states = worker_of_engine.size();
       jw->commit_checkpoint(c);
     }
     ckpt = std::move(fresh);
@@ -1583,36 +1496,23 @@ struct Cosmos::Fed {
     return period;
   }
 
+  /// The armed initial checkpoint (empty state, seq 0) covers the run
+  /// until the first periodic one.
   void maybe_checkpoint(stream::Timestamp now) {
-    const stream::Timestamp period = checkpoint_period();
-    if (period <= 0) return;
-    if (!has_ckpt_clock) {
-      // Start the period clock at the trace's first chunk; the armed
-      // initial checkpoint (empty state, seq 0) covers until then.
-      ckpt_clock_ms = now;
-      has_ckpt_clock = true;
-      return;
+    if (ckpt_cadence.due(now, checkpoint_period()) && checkpoint()) {
+      ckpt_cadence.last_ms = now;
     }
-    if (now - ckpt_clock_ms < period) return;
-    if (checkpoint()) ckpt_clock_ms = now;
   }
 
   /// Periodic retention-floor advance (FederationOptions::retention),
-  /// between checkpoints: drain the window, flush the fleet — the full ack
-  /// set advances acked_floor and prunes the data log — and deliver. No
-  /// state is pulled, so it is much cheaper than a checkpoint.
+  /// between checkpoints: a fleet-wide quiesce, whose full flush-ack set
+  /// advances acked_floor and prunes the data log. No state is pulled, so
+  /// it is much cheaper than a checkpoint.
   void maybe_floor(stream::Timestamp now) {
-    if (options.retention.floor_every_ms <= 0) return;
-    if (!has_floor_clock) {
-      floor_clock_ms = now;
-      has_floor_clock = true;
-      return;
+    if (floor_cadence.due(now, options.retention.floor_every_ms)) {
+      quiesce(all_workers());
+      floor_cadence.last_ms = now;
     }
-    if (now - floor_clock_ms < options.retention.floor_every_ms) return;
-    while (!pending.empty()) complete_front();
-    flush_all();
-    drain_deliver();
-    floor_clock_ms = now;
   }
 
   // --- live migration ------------------------------------------------------
@@ -1636,8 +1536,8 @@ struct Cosmos::Fed {
     while (next_fault < options.faults.size() &&
            options.faults[next_fault].at_ms <= now) {
       const auto& f = options.faults[next_fault];
-      const std::size_t w = f.worker % workers.size();
-      workers[w].channel->set_fault(
+      const std::size_t w = f.worker % channels.size();
+      channels[w]->set_fault(
           std::make_shared<fault::LinkFault>(fault::FaultPlan::parse(f.plan)));
       obs::Tracer::instance().instant("fault_injected", "driver", w);
       ++report.federation.faults_injected;
@@ -1657,15 +1557,13 @@ struct Cosmos::Fed {
                                   std::to_string(m.engine.value())};
     }
     const std::size_t src = wit->second;
-    const std::size_t dst = m.to_worker % workers.size();
+    const std::size_t dst = m.to_worker % channels.size();
     if (src == dst) return;
 
     const obs::Span span{"migrate", "driver", m.engine.value()};
     obs::Tracer::instance().instant("migration", "driver", m.engine.value());
 
-    while (!pending.empty()) complete_front();
-    flush_worker(src);
-    drain_deliver();
+    quiesce({src});
 
     // A worker death inside the handshake below is unrecoverable (the
     // engine's state is mid-flight); recover() throws on this flag.
@@ -1685,24 +1583,10 @@ struct Cosmos::Fed {
           "Cosmos federation: state handoff for an unexpected engine"};
     }
 
-    wire::MigrateInMsg in;
-    in.engine = m.engine;
-    for (const auto& [uid, unit] : sys.units_) {
-      if (unit.host != m.engine) continue;
-      in.units.push_back({unit.id, unit.host, unit.result_stream, unit.spec});
-    }
-    in.state = std::move(handed.units);
     // Resume seq ordering where the engine left off — without this the
     // destination site would reset to seq 0 and hold back every execute.
-    const auto sit = next_exec_seq.find(m.engine.value());
-    in.exec_seq = sit == next_exec_seq.end() ? 0 : sit->second;
-    send(dst, wire::encode_migrate_in(in));
-    {
-      std::unique_lock lock{mu};
-      wait_for(lock,
-               [&] { return migrate_acks.contains(m.engine.value()); });
-      migrate_acks.erase(m.engine.value());
-    }
+    hand_in(dst, migrate_in(m.engine, std::move(handed.units),
+                            exec_seq_of(m.engine)));
     scripted_migration_active = false;
 
     wit->second = dst;
@@ -1728,9 +1612,9 @@ struct Cosmos::Fed {
       if (!s.spans.empty()) {
         const std::uint32_t pid = s.worker_index + 1;
         for (auto& span : s.spans) span.pid = pid;
-        trace.add_process_name(pid,
-                               "worker " + std::to_string(s.worker_index));
-        trace.add_foreign(std::move(s.spans));
+        core.trace().add_process_name(
+            pid, "worker " + std::to_string(s.worker_index));
+        core.trace().add_foreign(std::move(s.spans));
       }
     }
     std::stable_sort(report.federation.samples.begin(),
@@ -1758,21 +1642,12 @@ struct Cosmos::Fed {
   }
 
   [[nodiscard]] journal::Writer::Options journal_options() const {
+    // Indexed by FederationOptions::Journal::Fsync, which mirrors it.
+    constexpr journal::Fsync kFsync[] = {
+        journal::Fsync::kNever, journal::Fsync::kCommit,
+        journal::Fsync::kChunk, journal::Fsync::kEvery};
     journal::Writer::Options o;
-    switch (options.journal.fsync) {
-      case FederationOptions::Journal::Fsync::kNever:
-        o.fsync = journal::Fsync::kNever;
-        break;
-      case FederationOptions::Journal::Fsync::kCommit:
-        o.fsync = journal::Fsync::kCommit;
-        break;
-      case FederationOptions::Journal::Fsync::kChunk:
-        o.fsync = journal::Fsync::kChunk;
-        break;
-      case FederationOptions::Journal::Fsync::kEvery:
-        o.fsync = journal::Fsync::kEvery;
-        break;
-    }
+    o.fsync = kFsync[static_cast<std::size_t>(options.journal.fsync)];
     return o;
   }
 
@@ -1788,30 +1663,21 @@ struct Cosmos::Fed {
       traffic_reports.clear();
       collecting_traffic = true;
     }
-    for (std::size_t w = 0; w < workers.size(); ++w) {
+    for (std::size_t w = 0; w < channels.size(); ++w) {
       send_data(w, wire::encode_traffic_request());
     }
+    // Reports insert_or_assign-dedup.
+    await_all(
+        all_workers(),
+        [&](std::size_t w) { return traffic_reports.contains(w); },
+        [&](std::size_t w) {
+          resend_stalled(w, wire::encode_traffic_request());
+        });
     pubsub::TrafficStats merged;
     std::uint64_t peer_frames = 0;
     std::uint64_t peer_bytes = 0;
     {
-      std::unique_lock lock{mu};
-      wait_for(
-          lock, [&] { return traffic_reports.size() >= workers.size(); },
-          /*on_stall=*/[&] {
-            // Re-request from whoever has not reported (request or report
-            // lost to a drop fault); reports insert_or_assign-dedup.
-            std::set<std::size_t> missing;
-            {
-              std::lock_guard g{mu};
-              for (std::size_t w = 0; w < workers.size(); ++w) {
-                if (!traffic_reports.contains(w)) missing.insert(w);
-              }
-            }
-            for (const auto w : missing) {
-              resend_stalled(w, wire::encode_traffic_request());
-            }
-          });
+      std::lock_guard lock{mu};
       for (const auto& [w, t] : traffic_reports) {
         merged.merge(t.traffic);
         peer_frames += t.peer_frames;
@@ -1830,7 +1696,7 @@ struct Cosmos::Fed {
       std::lock_guard lock{mu};
       expect_close = true;
     }
-    for (std::size_t w = 0; w < workers.size(); ++w) {
+    for (std::size_t w = 0; w < channels.size(); ++w) {
       try {
         send(w, wire::encode_bye());
       } catch (const std::exception&) {
@@ -1844,111 +1710,27 @@ struct Cosmos::Fed {
     {
       std::unique_lock lock{mu};
       cv.wait_for(lock, std::chrono::seconds(5),
-                  [&] { return hung_up.size() >= workers.size(); });
+                  [&] { return hung_up.size() >= channels.size(); });
     }
-    for (auto& w : workers) w.channel->close();
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-      const auto& w = workers[i];
-      WireLinkStats link;
-      link.endpoint = w.endpoint;
-      link.bytes_sent = retired[i].bytes_sent + w.channel->bytes_sent();
-      link.bytes_received =
-          retired[i].bytes_received + w.channel->bytes_received();
-      link.frames_sent = retired[i].frames_sent + w.channel->frames_sent();
-      link.frames_received =
-          retired[i].frames_received + w.channel->frames_received();
-      link.frames_dropped =
-          retired[i].frames_dropped + w.channel->frames_dropped();
-      link.error = w.channel->send_error();
+    for (std::size_t i = 0; i < channels.size(); ++i) {
+      channels[i]->close();
+      WireLinkStats link = retired[i];
+      link.endpoint = options.workers[i];
+      count_link(link, *channels[i]);
+      link.error = channels[i]->send_error();
       report.federation.links.push_back(std::move(link));
     }
   }
-
-  RunReport run(const std::vector<runtime::TraceEvent>& events) {
-    connect_all();
-    if (resume_state != nullptr) {
-      resume_replicate();
-    } else {
-      if (!options.journal.dir.empty()) {
-        jw = journal::Writer::create(options.journal.dir, journal_meta(),
-                                     journal_options());
-      }
-      replicate();
-    }
-
-    const std::size_t results_before = sys.results_delivered_;
-    const std::size_t window =
-        options.max_inflight_chunks == 0 ? 1 : options.max_inflight_chunks;
-    const TimePoint ingest_start = Clock::now();
-    const double driver_cpu_start = thread_cpu_seconds();
-
-    runtime::Driver driver{
-        {options.batch_size, options.tick_ms},
-        [&](runtime::Chunk&& chunk) {
-          run_migrations_due(chunk.first_ts);
-          run_faults_due(chunk.first_ts);
-          maybe_checkpoint(chunk.first_ts);
-          maybe_floor(chunk.first_ts);
-          dispatch(std::move(chunk));
-          if (options.on_chunk) options.on_chunk(chunk_index);
-          ++chunk_index;
-          while (pending.size() >= window) complete_front();
-          drain_deliver();  // keep the p2 inbox bounded in practice
-        }};
-    // A resumed run re-ingests the trace from the journal's resume cut:
-    // chunk cutting is prefix-deterministic, so feeding events[skip:] cuts
-    // exactly the chunks the crashed driver had not yet routed.
-    const std::size_t skip =
-        resume_state == nullptr
-            ? 0
-            : static_cast<std::size_t>(resume_state->resume_events);
-    if (skip > events.size()) {
-      throw std::invalid_argument{
-          "Cosmos: resume journal consumed " + std::to_string(skip) +
-          " trace events but the given trace holds only " +
-          std::to_string(events.size())};
-    }
-    for (std::size_t k = skip; k < events.size(); ++k) {
-      driver.push(events[k].stream, events[k].tuple);
-    }
-    driver.finish();
-
-    while (!pending.empty()) complete_front();
-    // Flush acks follow each worker's last results on its FIFO channel, so
-    // after this barrier the inbox holds every result of the run.
-    flush_all();
-    drain_deliver();
-    report.ingest_seconds = seconds_since(ingest_start);
-    report.driver_cpu_seconds = thread_cpu_seconds() - driver_cpu_start;
-
-    collect_traffic();
-    // After the final flush barrier every worker's closing sample (sent
-    // ahead of its flush ack on the FIFO channel) is already in the inbox.
-    harvest_samples();
-    shutdown();
-
-    report.tuples = driver.tuples();
-    report.results_delivered = sys.results_delivered_ - results_before;
-    report.federation.workers = workers.size();
-    report.federation.driver_execute_bytes = driver_execute_bytes;
-    if (jw) {
-      report.federation.journal_bytes = jw->bytes_written();
-      report.federation.journal_fsyncs = jw->fsyncs();
-    }
-    report.federation.data_log_appended = data_log_appended;
-    report.federation.data_log_peak_entries = data_log_peak;
-    if (resume_state != nullptr) {
-      report.federation.journal_rollbacks = resume_state->segments_rolled_back;
-      report.federation.journal_torn_tail = resume_state->torn_tail;
-      report.federation.journal_records_dropped =
-          resume_state->records_dropped;
-      report.federation.resume_skipped_events = skip;
-    }
-    report.e2e_latency = e2e->snapshot();
-    report.metrics = reg.snapshot();
-    return std::move(report);
-  }
 };
+
+namespace {
+
+Pipeline::Options pipeline_options(const Cosmos::FederationOptions& options) {
+  return {options.batch_size, options.tick_ms, options.max_inflight_chunks,
+          options.trace_path};
+}
+
+}  // namespace
 
 Cosmos::RunReport Cosmos::run_federated(
     const std::vector<runtime::TraceEvent>& events,
@@ -1956,8 +1738,11 @@ Cosmos::RunReport Cosmos::run_federated(
   if (options.workers.empty()) {
     throw std::invalid_argument{"Cosmos: run_federated needs >= 1 worker"};
   }
-  Fed fed{*this, options};
-  return fed.run(events);
+  // The pipeline outlives the fleet: its trace session is written only
+  // after the channel reader threads have joined.
+  Pipeline core{*this, pipeline_options(options)};
+  Fed fed{*this, options, core};
+  return core.run(fed, events);
 }
 
 Cosmos::RunReport Cosmos::resume_federated(
@@ -1987,7 +1772,19 @@ Cosmos::RunReport Cosmos::resume_federated(
         "Cosmos: journal meta names no worker endpoints"};
   }
 
-  Fed fed{*this, effective};
+  // A resumed run re-ingests the trace from the journal's resume cut:
+  // chunk cutting is prefix-deterministic, so feeding events[skip:] cuts
+  // exactly the chunks the crashed driver had not yet routed.
+  const auto skip = static_cast<std::size_t>(rec.resume_events);
+  if (skip > events.size()) {
+    throw std::invalid_argument{
+        "Cosmos: resume journal consumed " + std::to_string(skip) +
+        " trace events but the given trace holds only " +
+        std::to_string(events.size())};
+  }
+
+  Pipeline core{*this, pipeline_options(effective)};
+  Fed fed{*this, effective, core};
   fed.resume_state = &rec;
   // The crashed driver's workers died with it (driver-death EOF shuts the
   // daemons down), so resume spawns its own fresh fleet on the journaled
@@ -1999,7 +1796,7 @@ Cosmos::RunReport Cosmos::resume_federated(
   for (const auto& ep : effective.workers) {
     fed.owned_fleet.push_back(node::spawn_noded(noded, ep));
   }
-  return fed.run(events);
+  return core.run(fed, events, skip);
 }
 
 }  // namespace cosmos::middleware

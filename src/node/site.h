@@ -17,9 +17,9 @@
 // Bundles: a kExecuteBundle carries each of a chunk's runs once plus one
 // (engine, seq, run, rows) entry per engine slice. The site decodes every
 // run once into a shared TupleBatch and dispatches one runtime task per
-// (bundle, engine) holding RunSlices over the shared runs — the shape
-// Cosmos::dispatch_chunk uses in-process — so fanning a tuple out to many
-// local engines copies nothing on the serve thread.
+// (bundle, engine) holding RunSlices over the shared runs — the shape the
+// in-process fleet of Cosmos::run dispatches — so fanning a tuple out to
+// many local engines copies nothing on the serve thread.
 //
 // Ordering: the driver assigns every engine slice an absolute per-engine
 // seq (route order). The site applies an engine's slices strictly in seq

@@ -61,62 +61,93 @@ Fleet spawn_fleet(std::size_t n, const std::string& tag) {
   return fleet;
 }
 
-TEST(Federation, MatchesPushAcrossWorkerCountsAndWindows) {
-  std::uint64_t only_seed = 0;
-  if (const char* s = std::getenv("COSMOS_DIFF_SEED")) {
-    only_seed = std::strtoull(s, nullptr, 10);
+/// Checks `w` against the reference evaluator, then replays it across
+/// worker counts, in-flight windows, worker shard counts and batch sizes,
+/// diffing each federated result log against push(). Returns push()'s
+/// result count.
+std::size_t expect_fleets_match_push(const testsupport::RandomWorkload& w,
+                                     std::uint64_t seed) {
+  ResultLog push_log;
+  {
+    auto sys = build_system(w, push_log);
+    for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
   }
+  std::size_t results = 0;
+  for (const auto& [q, lines] : push_log) results += lines.size();
+  EXPECT_EQ(push_log, reference_log(w))
+      << "push() disagrees with the reference evaluator: seed=" << seed
+      << "  (replay: COSMOS_DIFF_SEED=" << seed << ")";
 
+  struct Config {
+    std::size_t workers;
+    std::size_t inflight;
+    std::size_t shards;
+    std::size_t batch;
+  };
+  for (const Config cfg : {Config{2, 1, 1, 64}, Config{2, 4, 2, 16},
+                           Config{4, 4, 1, 64}}) {
+    auto fleet = spawn_fleet(cfg.workers, "diff");
+    ResultLog fed_log;
+    auto sys = build_system(w, fed_log);
+    Cosmos::FederationOptions opts;
+    opts.workers = fleet.endpoints;
+    opts.batch_size = cfg.batch;
+    opts.max_inflight_chunks = cfg.inflight;
+    opts.worker_shards = cfg.shards;
+    opts.queue_capacity = 8;  // small: exercise channel backpressure
+    opts.tick_ms = 20 * 60'000;
+    const auto report = sys->run_federated(w.events, opts);
+
+    EXPECT_EQ(report.tuples, w.events.size());
+    EXPECT_EQ(report.federation.workers, cfg.workers);
+    EXPECT_EQ(report.federation.links.size(), cfg.workers);
+    for (const auto& link : report.federation.links) {
+      EXPECT_GT(link.frames_sent, 0u);
+      EXPECT_GT(link.bytes_sent, link.frames_sent * 12);
+    }
+    EXPECT_EQ(fed_log, push_log)
+        << "federation mismatch: seed=" << seed << " workers=" << cfg.workers
+        << " inflight=" << cfg.inflight << " shards=" << cfg.shards
+        << " batch=" << cfg.batch << "  (replay: COSMOS_DIFF_SEED=" << seed
+        << ")";
+
+    for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
+    if (::testing::Test::HasFailure()) return results;
+  }
+  return results;
+}
+
+/// COSMOS_DIFF_SEED replays a single failing workload; 0 = every seed.
+std::uint64_t only_seed() {
+  const char* s = std::getenv("COSMOS_DIFF_SEED");
+  return s == nullptr ? 0 : std::strtoull(s, nullptr, 10);
+}
+
+TEST(Federation, MatchesPushAcrossWorkerCountsAndWindows) {
   std::size_t total_results = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    if (only_seed != 0 && seed != only_seed) continue;
-    const auto w = make_workload(seed);
+    if (only_seed() != 0 && seed != only_seed()) continue;
+    total_results += expect_fleets_match_push(make_workload(seed), seed);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(total_results, 0u);
+}
 
-    ResultLog push_log;
+TEST(Federation, MergingWorkloadsMatchPushAcrossWorkerCountsAndWindows) {
+  // Every seed here merges units: shared covering queries run on the
+  // workers while their split p2 subscriptions deliver on the driver.
+  std::size_t total_results = 0;
+  for (std::uint64_t seed = 2; seed <= 4; ++seed) {
+    if (only_seed() != 0 && seed != only_seed()) continue;
+    const auto w = testsupport::make_merging_workload(seed);
     {
-      auto sys = build_system(w, push_log);
-      for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
+      ResultLog log;
+      const auto sys = build_system(w, log);
+      ASSERT_LT(sys->deployed_units(), sys->submitted_queries())
+          << "seed=" << seed;
     }
-    for (const auto& [q, lines] : push_log) total_results += lines.size();
-    ASSERT_EQ(push_log, reference_log(w))
-        << "push() disagrees with the reference evaluator: seed=" << seed
-        << "  (replay: COSMOS_DIFF_SEED=" << seed << ")";
-
-    struct Config {
-      std::size_t workers;
-      std::size_t inflight;
-      std::size_t shards;
-      std::size_t batch;
-    };
-    for (const Config cfg : {Config{2, 1, 1, 64}, Config{2, 4, 2, 16},
-                             Config{4, 4, 1, 64}}) {
-      auto fleet = spawn_fleet(cfg.workers, "diff");
-      ResultLog fed_log;
-      auto sys = build_system(w, fed_log);
-      Cosmos::FederationOptions opts;
-      opts.workers = fleet.endpoints;
-      opts.batch_size = cfg.batch;
-      opts.max_inflight_chunks = cfg.inflight;
-      opts.worker_shards = cfg.shards;
-      opts.queue_capacity = 8;  // small: exercise channel backpressure
-      opts.tick_ms = 20 * 60'000;
-      const auto report = sys->run_federated(w.events, opts);
-
-      EXPECT_EQ(report.tuples, w.events.size());
-      EXPECT_EQ(report.federation.workers, cfg.workers);
-      ASSERT_EQ(report.federation.links.size(), cfg.workers);
-      for (const auto& link : report.federation.links) {
-        EXPECT_GT(link.frames_sent, 0u);
-        EXPECT_GT(link.bytes_sent, link.frames_sent * 12);
-      }
-      ASSERT_EQ(fed_log, push_log)
-          << "federation mismatch: seed=" << seed
-          << " workers=" << cfg.workers << " inflight=" << cfg.inflight
-          << " shards=" << cfg.shards << " batch=" << cfg.batch
-          << "  (replay: COSMOS_DIFF_SEED=" << seed << ")";
-
-      for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
-    }
+    total_results += expect_fleets_match_push(w, seed);
+    if (HasFailure()) return;
   }
   EXPECT_GT(total_results, 0u);
 }
@@ -305,8 +336,9 @@ TEST(Federation, TracingAndStatsSamplingPreserveResultsAndMergeTraces) {
   // Driver pipeline spans and worker-side shard spans share the file,
   // re-homed to per-process lanes.
   for (const char* needle :
-       {"\"match_wait\"", "\"deliver\"", "\"task\"", "\"pid\":1",
-        "\"pid\":2", "\"worker 0\"", "\"worker 1\"", "\"ph\":\"M\""}) {
+       {"\"match_wait\"", "\"route\"", "\"dispatch\"", "\"deliver\"",
+        "\"task\"", "\"pid\":1", "\"pid\":2", "\"worker 0\"",
+        "\"worker 1\"", "\"ph\":\"M\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
 }
@@ -336,6 +368,59 @@ TEST(Federation, DeadWorkerMidRunThrowsCleanly) {
     EXPECT_FALSE(std::string{e.what()}.empty());
   }
   killer.join();
+}
+
+TEST(Federation, EveryModeRefusesNonSourceStreams) {
+  // A unit's result stream is advertised on the broker but is no source:
+  // every mode refuses it, like an unadvertised name, before anything is
+  // matched or accounted, and the instance stays usable afterwards.
+  const auto w = make_workload(1);
+  ResultLog clean_log;
+  {
+    auto sys = build_system(w, clean_log);
+    for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
+  }
+  ResultLog log;
+  auto sys = build_system(w, log);
+  std::string result_stream;
+  for (auto* part : sys->broker().partitions()) {
+    if (part->stream().rfind("cosmos.result.", 0) == 0) {
+      result_stream = part->stream();
+    }
+  }
+  ASSERT_FALSE(result_stream.empty());
+
+  const auto expect_refused = [](const std::string& stream, auto call) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted " << stream;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(stream), std::string::npos)
+          << e.what();
+    }
+  };
+  const auto before = sys->traffic();
+  for (const std::string& stream : {result_stream, std::string{"Nowhere"}}) {
+    const auto& first = w.events.front();
+    expect_refused(stream, [&] { sys->push(stream, first.tuple); });
+    EXPECT_EQ(pubsub::testsupport::link_traffic_diff(sys->traffic(), before),
+              "")
+        << "a refused push() accounted traffic: " << stream;
+    // The refused event shares the first chunk with a source event, which
+    // must not be matched or executed either.
+    const std::vector<runtime::TraceEvent> trace{first,
+                                                 {stream, first.tuple}};
+    expect_refused(stream, [&] { (void)sys->run(trace); });
+    auto fleet = spawn_fleet(2, "refuse");
+    Cosmos::FederationOptions opts;
+    opts.workers = fleet.endpoints;
+    expect_refused(stream, [&] { (void)sys->run_federated(trace, opts); });
+  }
+  EXPECT_EQ(pubsub::testsupport::link_traffic_diff(sys->traffic(), before),
+            "");
+  EXPECT_TRUE(log.empty());
+  for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
+  EXPECT_EQ(log, clean_log);
 }
 
 TEST(Federation, RefusesEmptyWorkerList) {

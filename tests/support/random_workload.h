@@ -120,6 +120,25 @@ inline RandomWorkload make_workload(std::uint64_t seed) {
   return w;
 }
 
+/// make_workload(seed)'s mesh and trace under 6..10 queries hosted on two
+/// nodes and reading two streams, so result sharing merges units (Section
+/// 2.1) — the merge, teardown and p2 re-wiring that make_workload's
+/// spread-out queries almost never reach.
+inline RandomWorkload make_merging_workload(std::uint64_t seed) {
+  RandomWorkload w = make_workload(seed);
+  Rng rng{seed * 6133 + 29};
+  const std::size_t node_count = w.nodes.size();
+  const std::size_t query_count = 6 + rng.next_below(5);
+  w.queries.clear();
+  for (std::size_t q = 0; q < query_count; ++q) {
+    const NodeId host{static_cast<NodeId::value_type>(2 + rng.next_below(2))};
+    const NodeId proxy{static_cast<NodeId::value_type>(
+        2 + rng.next_below(node_count - 2))};
+    w.queries.emplace_back(random_query_text(rng, 2), host, proxy);
+  }
+  return w;
+}
+
 inline std::unique_ptr<Cosmos> build_system(const RandomWorkload& w,
                                             ResultLog& log) {
   auto sys = std::make_unique<Cosmos>(w.nodes, w.lat);
