@@ -144,6 +144,13 @@ class Cosmos {
     double dispatch_cpu_seconds = 0.0;
     /// CPU delivering result tuples to user callbacks (the p2 leg).
     double deliver_cpu_seconds = 0.0;
+    /// Federated runs: wall time in cuts and scripted migrations once the
+    /// window has drained — the flush wait, the state pulls and the journal
+    /// commit (the drain itself counts in the fields above; the results
+    /// the flush releases are delivered inside, their CPU also counting in
+    /// deliver_cpu_seconds). A resumed run's opening cut precedes the
+    /// ingest clock.
+    double checkpoint_seconds = 0.0;
   };
   /// Driver-side byte/frame counters of one worker channel (federation).
   struct WireLinkStats {
@@ -172,6 +179,9 @@ class Cosmos {
     std::size_t workers = 0;  ///< 0 = the run was not federated
     std::vector<WireLinkStats> links;
     std::size_t migrations = 0;  ///< scripted handoffs executed
+    /// Cuts completed (FederationOptions::Journal::checkpoint_every_ms),
+    /// stateless ones included; a resumed run's opening cut counts too.
+    std::size_t checkpoints = 0;
     /// Workers that died mid-run and were respawned + resumed (requires
     /// FederationOptions::Recovery::enabled).
     std::size_t recoveries = 0;
@@ -219,9 +229,10 @@ class Cosmos {
     std::uint64_t journal_records_dropped = 0;
     std::size_t resume_skipped_events = 0;
     /// In-memory data-log retention: entries appended over the run vs the
-    /// peak held at once. With retention/checkpointing on, peak stays
-    /// bounded by the checkpoint-to-checkpoint window instead of growing
-    /// with the whole trace (peak == appended when nothing truncates).
+    /// peak held at once. Every cut resets the log, so with cuts on the
+    /// peak stays bounded by the cut-to-cut window instead of growing with
+    /// the whole trace (peak == appended when nothing truncates). Only
+    /// runs that replay it keep one: worker recovery, peer links, faults.
     std::size_t data_log_appended = 0;
     std::size_t data_log_peak_entries = 0;
   };
@@ -293,7 +304,8 @@ class Cosmos {
     /// One scripted live migration: at virtual time `at_ms`, the units
     /// hosted at `engine` drain on their current worker, serialize their
     /// join state, and resume on `to_worker` — the wire analogue of the
-    /// adapt subsystem's engine re-pins.
+    /// adapt subsystem's engine re-pins. It is a one-engine cut, so a
+    /// worker death inside it recovers like any other (with recovery on).
     struct Migration {
       stream::Timestamp at_ms = 0;
       NodeId engine;
@@ -319,22 +331,19 @@ class Cosmos {
     /// as the differential oracle.
     bool peer_links = false;
     /// Worker restart recovery. When enabled, the driver retains every
-    /// registration frame and a data log since the last checkpoint; on
+    /// registration frame and a data log since the last cut; on
     /// dead-worker detection it respawns the daemon on the same endpoint
     /// (node::spawn_noded), replays the registrations, re-hands-off each
-    /// hosted engine's checkpointed state (kMigrateIn at the checkpoint's
-    /// execute seq), replays the logged executes — the sites' seq dedup
-    /// absorbs duplicates — and resumes the run.
+    /// hosted engine's cut state (kMigrateIn at the cut's execute seq),
+    /// replays the logged executes — the sites' seq dedup absorbs
+    /// duplicates — and resumes the run. A death mid-cut or mid-migration
+    /// recovers the same way. Cuts come every journal.checkpoint_every_ms.
     struct Recovery {
       bool enabled = false;
       /// cosmos_noded binary to respawn; empty = $COSMOS_NODED_PATH.
       std::string noded_path;
       /// Give up (sticky session error) past this many recoveries.
       std::size_t max_recoveries = 4;
-      /// Stream-time period between recovery checkpoints (flush + per-
-      /// engine keep-state handoff). <= 0: only the initial (empty-state)
-      /// checkpoint is taken, so recovery replays from the top of the run.
-      stream::Timestamp checkpoint_every_ms = 0;
     };
     Recovery recovery;
     /// Liveness (protocol v3). Both ends of every driver<->worker channel
@@ -368,22 +377,16 @@ class Cosmos {
       /// Process death never loses write()n data; fsync is for machine
       /// crashes. Default syncs checkpoint commits only.
       Fsync fsync = Fsync::kCommit;
-      /// Stream-time period between journal checkpoints (same keep-mode
-      /// kMigrateOut cut as Recovery's). <= 0: only the initial commit is
-      /// taken, so resume replays from the top of the run.
+      /// The one cut period of every federated run, journaled or not:
+      /// every this much stream time the driver quiesces the fleet and,
+      /// when the run keeps engine state (worker recovery or a journal),
+      /// pulls every engine's state and commits it; with only a data log
+      /// (peer links or faults) the cut is stateless. Each cut resets the
+      /// data log. <= 0: only the initial (empty-state) cut, so recovery
+      /// and resume replay from the top of the run.
       stream::Timestamp checkpoint_every_ms = 0;
     };
     Journal journal;
-    /// Bounded in-memory retention of the driver's data_log and delivered
-    /// buffers. A checkpoint already truncates both to its cut; this knob
-    /// additionally advances the all-workers-acked floor *between*
-    /// checkpoints (a flush barrier at chunk boundaries, no state pull),
-    /// pruning data-log entries every worker proved applied. <= 0 leaves
-    /// pruning to checkpoints alone.
-    struct Retention {
-      stream::Timestamp floor_every_ms = 0;
-    };
-    Retention retention;
     /// Deterministic network fault injection: at stream time `at_ms`
     /// (applied at the next chunk boundary, like migrations) the
     /// fault::FaultPlan parsed from `plan` is installed on the driver's

@@ -20,20 +20,26 @@
 // site's holdback/dedup re-establishes seq order). Bundling changes only
 // how slices are grouped into frames, never their seqs.
 //
+// One checkpoint: every journal.checkpoint_every_ms of stream time the
+// driver cuts — it quiesces the fleet and, when the run keeps engine state
+// (worker recovery or a journal), pulls every engine's state in one batched
+// keep-mode kMigrateOut round. A scripted migration is a one-engine cut
+// plus a re-pin, so a death anywhere in it recovers like any other.
+//
 // Worker restart recovery (FederationOptions::recovery): the driver retains
 // every registration frame plus a data log of routed executes since the
-// last checkpoint. When a channel to worker i dies mid-run, the driver
-// respawns cosmos_noded on the same endpoint, replays the registrations,
-// re-hands-off each hosted engine's checkpointed state (kMigrateIn at the
-// checkpoint's execute seq), replays the logged executes (site seq dedup
-// absorbs what survivors already applied), re-sends whatever barrier was in
-// flight, and resumes. Results the dead worker already delivered are
-// discarded on re-emission (pending_discard), so the user-visible result
-// sequence stays byte-identical to a crash-free run.
+// last cut. When a channel to worker i dies mid-run, the driver respawns
+// cosmos_noded on the same endpoint, replays the registrations, and
+// restores the worker to the cut (restore(): kMigrateIn of each hosted
+// engine's cut state at its execute seq, the logged executes — site seq
+// dedup absorbs what survivors already applied — and the watermark), then
+// re-sends whatever requests were in flight and resumes. A resumed driver
+// restores its fresh fleet the same way from the journal. Results already
+// delivered are discarded on re-emission (pending_discard), so the
+// user-visible result sequence stays byte-identical to a crash-free run.
 #include "cosmos/cosmos.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -41,7 +47,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -69,7 +74,7 @@ struct Cosmos::Fed final : Pipeline::Fleet {
         core(pipeline),
         report(pipeline.report()),
         log_data(opts.recovery.enabled || opts.peer_links ||
-                 !opts.faults.empty() || !opts.journal.dir.empty()) {}
+                 !opts.faults.empty()) {}
 
   Fed(const Fed&) = delete;  // reader callbacks hold `this`
   Fed& operator=(const Fed&) = delete;
@@ -112,18 +117,24 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     std::size_t worker = 0;
   };
   std::vector<InboxResult> results_inbox;  ///< arrival order
-  /// engine value -> (handoff, wire bytes). Last-wins per engine: a
-  /// recovery re-request can produce a duplicate handoff, byte-identical
-  /// because both were cut at the same flush + seq point.
-  std::map<std::uint64_t, std::pair<wire::StateHandoffMsg, std::uint64_t>>
+  /// An engine on a worker: the key of a state pull and of a hand-in ack.
+  using WorkerEngine = std::pair<std::size_t, NodeId>;
+  /// Outstanding pulls -> the keep-mode kMigrateOut asking for each: what
+  /// a stall or a recovery of that worker re-sends.
+  std::map<WorkerEngine, wire::Frame> pulls;
+  /// Answered pulls -> (handoff, wire bytes). The reader keeps only a
+  /// handoff that answers an outstanding pull on its own channel, so a
+  /// migration's drop or a late duplicate is discarded. Last-wins: a
+  /// re-sent pull's duplicate is byte-identical (same flush + seq cut).
+  std::map<WorkerEngine, std::pair<wire::StateHandoffMsg, std::uint64_t>>
       handoffs;
-  std::set<std::uint64_t> migrate_acks;  ///< acked engine values
+  std::set<WorkerEngine> migrate_acks;  ///< acked (worker, engine) hand-ins
   std::map<std::size_t, wire::TrafficReportMsg> traffic_reports;  ///< by worker
   std::vector<wire::StatsSampleMsg> samples_inbox;  ///< arrival order
   bool expect_close = false;  ///< set before kBye: closes are then orderly
   std::set<std::size_t> hung_up;  ///< workers whose channel reader ended
-  /// Recovery gate: armed once replicate() + the initial checkpoint are
-  /// done (registration faults stay fatal). Guarded by mu because the
+  /// Recovery gate: armed once replicate() + the initial cut are done
+  /// (registration faults stay fatal). Guarded by mu because the
   /// reader-side mark_dead consults it.
   bool recovery_armed = false;
   std::vector<char> worker_dead;         ///< 1 while awaiting recovery
@@ -136,7 +147,7 @@ struct Cosmos::Fed final : Pipeline::Fleet {
 
   // --- driver-thread-only state.
   /// engine -> hosting worker. Ordered: every per-engine protocol step
-  /// (deploys, checkpoints, floors, recovery hand-ins) walks engine order.
+  /// (deploys, pulls, journal state records, hand-ins) walks engine order.
   std::map<NodeId, std::size_t> worker_of_engine;
   std::uint64_t next_job = 0;
   std::uint64_t next_flush_seq = 0;
@@ -149,9 +160,8 @@ struct Cosmos::Fed final : Pipeline::Fleet {
   /// leaves this pair conservatively driver-routed.
   std::set<std::pair<std::uint32_t, std::uint32_t>> peer_down_pairs;
   /// Whether routed executes are retained in data_log: recovery replay,
-  /// peer-down fallback replay and kSeqGap replay all read it. Without
-  /// recovery the log is never truncated by checkpoints (bounded by the
-  /// run's trace, acceptable for fault-injection tests).
+  /// peer-down fallback replay and kSeqGap replay read it (a resumed run
+  /// seeds it from the journal on its own). Every cut resets it.
   const bool log_data;
 
   /// Per-engine execute sequence frontier: the next seq the driver will
@@ -162,7 +172,7 @@ struct Cosmos::Fed final : Pipeline::Fleet {
   /// Deployments are excluded — recovery re-deploys via kMigrateIn, which
   /// also restores state and the seq cut.
   std::vector<wire::Frame> reg_log;
-  /// One routed engine slice since the last checkpoint. `owner` is the
+  /// One routed engine slice since the last cut. `owner` is the
   /// match owner that ships it in peer-link mode (SIZE_MAX on the star
   /// path, where the driver itself sent the bundle): replay re-sends an
   /// entry when its current target OR its owner is the recovered worker —
@@ -181,44 +191,23 @@ struct Cosmos::Fed final : Pipeline::Fleet {
   /// Distinct per routed chunk (and per resumed journal bundle): the
   /// DataLogEntry::chunk grouping key.
   std::uint64_t logged_chunks = 0;
-  /// Retention accounting: entries ever appended vs the peak held at once
+  /// Data-log accounting: entries ever appended vs the peak held at once
   /// (the boundedness proof in RunReport::federation).
   std::size_t data_log_appended = 0;
   std::size_t data_log_peak = 0;
-  /// engine value -> the highest execute-seq floor every worker has acked
-  /// (snapshot of the frontier at the last fleet-wide flush). Entries below
-  /// it are applied everywhere, so peer-down / kSeqGap replay can never
-  /// need them again — the in-memory data_log prunes below this floor
-  /// (checkpoints own the truncation when worker recovery is enabled,
-  /// because its replay needs the whole since-checkpoint window).
-  std::unordered_map<std::uint64_t, std::uint64_t> acked_floor;
-  /// engine value -> its state at the last checkpoint cut.
+  /// engine value -> its state at the last cut: the periodic one, or the
+  /// migration that last moved it.
   struct EngineCheckpoint {
     std::vector<wire::UnitStateMsg> state;
     std::uint64_t exec_seq = 0;
   };
   std::unordered_map<std::uint64_t, EngineCheckpoint> ckpt;
-  /// A stream-time period clock, started by the trace's first chunk.
-  struct Cadence {
-    stream::Timestamp last_ms = 0;
-    bool started = false;
-    /// Whether `period` (> 0) has passed since the last firing.
-    bool due(stream::Timestamp now, stream::Timestamp period) {
-      if (period <= 0) return false;
-      if (!started) {
-        last_ms = now;
-        started = true;
-        return false;
-      }
-      return now - last_ms >= period;
-    }
-  };
-  Cadence ckpt_cadence;   ///< last checkpoint
-  Cadence floor_cadence;  ///< last retention floor advance
+  /// Stream time of the last cut; the trace's first chunk starts the clock.
+  std::optional<stream::Timestamp> last_cut_ms;
 
   /// Durable run journal (FederationOptions::journal): created by start()
-  /// for a fresh journaled run, installed by resume_replicate() (continuing
-  /// the segment chain) for a resumed one. Driver-thread only.
+  /// for a fresh journaled run, installed by resume() (continuing the
+  /// segment chain) for a resumed one. Driver-thread only.
   std::unique_ptr<journal::Writer> jw;
   std::uint64_t next_ckpt_id = 0;
   /// Trace events consumed by dispatched chunks — the journal's resume cut.
@@ -226,22 +215,20 @@ struct Cosmos::Fed final : Pipeline::Fleet {
   /// Set by resume_federated: the recovered journal state this run resumes
   /// from (null for a fresh run).
   const journal::RecoveredRun* resume_state = nullptr;
-  /// Results delivered to user callbacks since the last checkpoint, per
-  /// result stream; when a worker dies, the replay re-emits exactly these,
-  /// so pending_discard skips that many re-deliveries per stream.
+  /// Results delivered to user callbacks since the engine's last cut, per
+  /// result stream; when a worker dies, the replay re-emits exactly these.
   std::unordered_map<std::string, std::size_t> delivered_since_ckpt;
-  std::unordered_map<std::string, std::size_t> pending_discard;
+  /// (worker, result stream) -> re-emissions still to skip. Keyed by the
+  /// re-emitting worker: after a migration, the engine's fresh results on
+  /// its destination must not be mistaken for its source's replay.
+  std::map<std::pair<std::size_t, std::string>, std::size_t> pending_discard;
   /// In-flight barriers a respawned worker must re-answer.
   struct OutstandingFlush {
     std::uint64_t seq = 0;
     std::set<std::size_t> waiting;
   };
   std::optional<OutstandingFlush> outstanding_flush;
-  std::optional<std::pair<NodeId, std::size_t>> outstanding_ckpt_out;
   bool collecting_traffic = false;
-  /// Scripted migrations quiesce the fleet outside the recovery protocol;
-  /// a death inside the handshake is unrecoverable (documented limitation).
-  bool scripted_migration_active = false;
   stream::Timestamp last_watermark = 0;
   bool has_watermark = false;
   std::uint64_t driver_execute_bytes = 0;
@@ -359,16 +346,18 @@ struct Cosmos::Fed final : Pipeline::Fleet {
           const std::uint64_t wire_bytes =
               frame.payload.size() + wire::kFrameHeaderBytes;
           auto m = wire::decode_state_handoff(frame);
-          const std::uint64_t key = m.engine.value();
+          const WorkerEngine key{i, m.engine};
           std::lock_guard lock{mu};
-          handoffs.insert_or_assign(key,
-                                    std::pair{std::move(m), wire_bytes});
+          if (pulls.contains(key)) {
+            handoffs.insert_or_assign(key,
+                                      std::pair{std::move(m), wire_bytes});
+          }
           break;
         }
         case wire::FrameType::kMigrateAck: {
           const auto m = wire::decode_migrate_ack(frame);
           std::lock_guard lock{mu};
-          migrate_acks.insert(m.engine.value());
+          migrate_acks.insert({i, m.engine});
           break;
         }
         case wire::FrameType::kTrafficReport: {
@@ -573,23 +562,26 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     });
   }
 
-  /// Recovery-internal wait: returns false when worker `i` died again
-  /// mid-recovery (it is already re-queued; the caller abandons this
-  /// attempt and the outer wait_for retries). Other workers' deaths stay
-  /// queued until this recovery completes — no recursion.
+  /// Waits for `pred` without dispatching recoveries: returns false when
+  /// one of `workers` died meanwhile (it is queued for recovery; the caller
+  /// abandons its step, and the outer wait_for recovers it). Other
+  /// workers' deaths stay queued until the caller returns — no recursion.
   template <typename Pred>
-  bool wait_recovery(std::unique_lock<std::mutex>& lock, std::size_t i,
-                     Pred pred) {
-    cv.wait(lock,
-            [&] { return !error.empty() || worker_dead[i] != 0 || pred(); });
+  bool wait_alive(std::unique_lock<std::mutex>& lock,
+                  const std::set<std::size_t>& workers, Pred pred) {
+    const auto died = [&] {
+      return std::any_of(workers.begin(), workers.end(),
+                         [&](std::size_t w) { return worker_dead[w] != 0; });
+    };
+    cv.wait(lock, [&] { return !error.empty() || died() || pred(); });
     if (!error.empty()) {
       throw std::runtime_error{"Cosmos federation: " + error};
     }
-    return worker_dead[i] == 0;
+    return !died();
   }
 
-  /// Control-plane send: a failure here is a session fault (registration,
-  /// migration and shutdown frames).
+  /// Control-plane send: a failure here is a session fault (registration
+  /// and shutdown frames).
   void send(std::size_t w, wire::Frame frame) {
     channels[w]->send(std::move(frame));
   }
@@ -634,21 +626,6 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     data_log.push_back(std::move(entry));
     ++data_log_appended;
     data_log_peak = std::max(data_log_peak, data_log.size());
-  }
-
-  /// Called after a fleet-wide flush fully acked: every engine's frontier
-  /// at that moment is now applied on every worker, so the floor advances
-  /// and the data log prunes below it. Worker-restart recovery replays the
-  /// whole since-checkpoint window, so with it enabled truncation stays
-  /// checkpoint-owned.
-  void note_all_acked_floors() {
-    if (!log_data) return;
-    for (const auto& [engine, seq] : next_exec_seq) acked_floor[engine] = seq;
-    if (options.recovery.enabled) return;
-    std::erase_if(data_log, [&](const DataLogEntry& e) {
-      const auto it = acked_floor.find(e.engine.value());
-      return it != acked_floor.end() && e.seq < it->second;
-    });
   }
 
   std::int64_t link_delay(std::size_t i) const {
@@ -721,29 +698,70 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     }
   }
 
-  /// kMigrateIn for `engine`: its units (doubling as their deployment)
-  /// plus `state`, cut at execute seq `exec_seq` — where the site resumes
-  /// ordering the engine's executes.
-  wire::MigrateInMsg migrate_in(NodeId engine,
-                                std::vector<wire::UnitStateMsg> state,
-                                std::uint64_t exec_seq) const {
-    wire::MigrateInMsg in;
-    in.engine = engine;
-    for (const auto& [uid, unit] : sys.units_) {
-      if (unit.host != engine) continue;
-      in.units.push_back({unit.id, unit.host, unit.result_stream, unit.spec});
+  /// The one hand-in: a kMigrateIn to each engine's placed worker with its
+  /// units (doubling as their deployment, which is why deploys are not in
+  /// reg_log) and its ckpt entry — the state, and the execute seq where the
+  /// site resumes ordering the engine's executes. Every kMigrateIn first,
+  /// then every kMigrateAck. Returns false when one of those workers died
+  /// meanwhile: its recovery hands its engines in again.
+  bool hand_in(const std::vector<NodeId>& engines) {
+    std::set<WorkerEngine> keys;
+    std::set<std::size_t> workers;
+    for (const NodeId engine : engines) {
+      const std::size_t w = worker_of_engine.at(engine);
+      const EngineCheckpoint& ec = ckpt[engine.value()];
+      wire::MigrateInMsg in{engine, {}, ec.state, ec.exec_seq};
+      for (const auto& [uid, unit] : sys.units_) {
+        if (unit.host != engine) continue;
+        in.units.push_back({unit.id, unit.host, unit.result_stream, unit.spec});
+      }
+      send_data(w, wire::encode_migrate_in(in));
+      keys.insert({w, engine});
+      workers.insert(w);
     }
-    in.state = std::move(state);
-    in.exec_seq = exec_seq;
-    return in;
+    const auto acked = [&](const WorkerEngine& k) {
+      return migrate_acks.contains(k);
+    };
+    std::unique_lock lock{mu};
+    if (!wait_alive(lock, workers, [&] {
+          return std::all_of(keys.begin(), keys.end(), acked);
+        })) {
+      return false;
+    }
+    for (const auto& k : keys) migrate_acks.erase(k);
+    return true;
   }
 
-  /// Hands `in` to worker `w` and waits for its kMigrateAck.
-  void hand_in(std::size_t w, const wire::MigrateInMsg& in) {
-    send(w, wire::encode_migrate_in(in));
-    std::unique_lock lock{mu};
-    wait_for(lock, [&] { return migrate_acks.contains(in.engine.value()); });
-    migrate_acks.erase(in.engine.value());
+  /// The one state pull, shared by cuts and migrations: a keep-mode
+  /// kMigrateOut to each engine's hosting worker, every request first,
+  /// then one wait for every handoff. A worker that dies mid-pull is
+  /// restored to the last cut by recover(), which re-sends the pulls it
+  /// still owes. Returns each (handoff, wire bytes) in `engines` order.
+  std::vector<std::pair<wire::StateHandoffMsg, std::uint64_t>> pull(
+      const std::vector<NodeId>& engines) {
+    std::vector<std::pair<WorkerEngine, wire::Frame>> requests;
+    requests.reserve(engines.size());
+    for (const NodeId engine : engines) {
+      requests.emplace_back(WorkerEngine{worker_of_engine.at(engine), engine},
+                            wire::encode_migrate_out({engine, /*keep=*/1}));
+    }
+    {
+      std::lock_guard lock{mu};
+      for (const auto& [key, frame] : requests) pulls.emplace(key, frame);
+    }
+    for (const auto& [key, frame] : requests) send_data(key.first, frame);
+    await_all(
+        requests,
+        [&](const auto& r) { return handoffs.contains(r.first); },
+        [&](const auto& r) { resend_stalled(r.first.first, r.second); });
+    std::vector<std::pair<wire::StateHandoffMsg, std::uint64_t>> out;
+    out.reserve(requests.size());
+    std::lock_guard lock{mu};
+    for (const auto& [key, frame] : requests) {
+      out.push_back(std::move(handoffs.extract(key).mapped()));
+      pulls.erase(key);
+    }
+    return out;
   }
 
   void connect_all() {
@@ -821,14 +839,14 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     // flows (per-channel FIFO already orders the frames themselves).
     flush_targets(all_workers());
 
-    // Initial (empty-state) checkpoint, then arm recovery: from here on a
-    // channel death is a respawn, not a session fault.
+    // Initial (empty-state) cut, then arm recovery: from here on a channel
+    // death is a respawn, not a session fault.
     for (const auto& [engine, hw] : worker_of_engine) {
       ckpt.emplace(engine.value(), EngineCheckpoint{});
     }
     if (jw) {
       // Seal segment 1 with the initial (zero-engine) commit: a crash
-      // before the first periodic checkpoint is already resumable — every
+      // before the first periodic cut is already resumable — every
       // engine restarts empty at seq 0, exactly the ckpt map above.
       journal::CheckpointCommit c;
       c.checkpoint_id = ++next_ckpt_id;
@@ -842,49 +860,33 @@ struct Cosmos::Fed final : Pipeline::Fleet {
   }
 
   /// replicate() for a resumed run (resume_state set): re-broadcast the
-  /// journaled registrations, restore every engine at the journaled
-  /// checkpoint cut (kMigrateIn doubles as the deployment, exactly as
-  /// worker-restart recovery does), replay the journaled post-checkpoint
-  /// executes (site seq dedup absorbs nothing here — the fleet is fresh —
-  /// but peer-link batches replay through the star path like any recovery
-  /// replay), arm result suppression from the journaled delivered floors,
-  /// then open the continued journal segment and seal it with a fresh
-  /// checkpoint. After that cut the run is a normal journaled run — and
-  /// itself resumable. The journal writer is installed only after the
-  /// replay quiesces: the continued segment must hold nothing but the
-  /// preamble + the fresh cut before its commit (the recovery parser
-  /// rejects pre-commit data records), and every replay-time delivery is
-  /// covered by the fresh cut, not a delivered floor.
-  void resume_replicate() {
+  /// journaled registrations, load the journaled cut (placement — a
+  /// pre-cut migration's engine is placed where its state record says —
+  /// engine states and seq frontiers, the post-cut whole-chunk bundles as
+  /// the data log, the delivered floors, the watermark) and restore the
+  /// fresh fleet to it exactly as worker recovery restores one worker.
+  /// Then quiesce, and open the continued journal segment sealed with a
+  /// fresh cut; after it the run is a normal journaled run, itself
+  /// resumable. The journal writer is installed only after the replay
+  /// quiesces: the continued segment must hold nothing but the preamble +
+  /// the fresh cut before its commit (the recovery parser rejects
+  /// pre-commit data records), and every replay-time delivery is covered by
+  /// the fresh cut, not a delivered floor.
+  void resume() {
     const journal::RecoveredRun& rec = *resume_state;
-
     for (const auto& frame : rec.registrations) broadcast_logged(frame);
 
-    // Place the engines exactly as replicate() does (deterministic in
-    // sys), then let the journaled engine states override the placement
-    // where a pre-crash migration moved an engine.
     place_engines();
-    std::unordered_map<std::uint64_t, const journal::EngineState*> saved;
+    for (const auto& [engine, hw] : worker_of_engine) {
+      ckpt[engine.value()] = {};
+    }
     for (const auto& es : rec.engines) {
       worker_of_engine[es.engine] = es.worker;
-      saved.emplace(es.engine.value(), &es);
+      ckpt[es.engine.value()] = {es.units, es.exec_seq};
     }
-    for (const auto& [engine, hw] : worker_of_engine) {
-      EngineCheckpoint ec;
-      if (const auto sit = saved.find(engine.value()); sit != saved.end()) {
-        ec.state = sit->second->units;
-        ec.exec_seq = sit->second->exec_seq;
-      }
-      next_exec_seq[engine.value()] = ec.exec_seq;
-      hand_in(hw, migrate_in(engine, ec.state, ec.exec_seq));
-      ckpt.emplace(engine.value(), std::move(ec));
-    }
-
-    // The journaled whole-chunk bundles seed the data log (a journaled run
-    // always keeps one): with worker recovery on, the since-checkpoint
-    // window must be re-sendable until the fresh cut below resets it. Then
-    // they replay in route order as driver sends, re-split by the restored
-    // placement (an engine migrated after the cut is back on its checkpoint
+    for (const auto& [engine, ec] : ckpt) next_exec_seq[engine] = ec.exec_seq;
+    // The journaled bundles replay in route order, re-split by the restored
+    // placement (an engine migrated after the cut is back on its cut
     // worker), and each engine's seq frontier moves past them.
     for (const auto& b : rec.bundles) {
       const std::uint64_t chunk = ++logged_chunks;
@@ -895,21 +897,15 @@ struct Cosmos::Fed final : Pipeline::Fleet {
                     b.ingest_ns, chunk});
       }
     }
-    replay_entries([](const DataLogEntry&) { return true; });
-
-    // Restore stream time after the replay (floors make the sites defer
-    // pruning until every replayed execute applied), and arm suppression of
-    // the re-emissions the crashed driver already delivered.
-    if (rec.has_watermark) {
-      last_watermark = rec.watermark;
-      has_watermark = true;
-      for (std::size_t w = 0; w < channels.size(); ++w) {
-        send_data(w,
-                  wire::encode_watermark({last_watermark, floors_for(w)}));
-      }
-    }
     for (const auto& d : rec.delivered) {
-      pending_discard[d.stream] = static_cast<std::size_t>(d.count);
+      delivered_since_ckpt[d.stream] = static_cast<std::size_t>(d.count);
+    }
+    last_watermark = rec.watermark;
+    has_watermark = rec.has_watermark;
+    // Unreachable false: recovery is not armed yet, so a worker death
+    // throws instead of queueing.
+    if (!restore(all_workers())) {
+      throw std::runtime_error{"Cosmos federation: resume restore aborted"};
     }
 
     // Quiesce: flush acks follow each worker's replay results on its FIFO
@@ -961,7 +957,6 @@ struct Cosmos::Fed final : Pipeline::Fleet {
       flush_acks.erase(seq);
       outstanding_flush.reset();
     }
-    if (targets.size() >= channels.size()) note_all_acked_floors();
   }
 
   std::set<std::size_t> all_workers() const {
@@ -973,19 +968,30 @@ struct Cosmos::Fed final : Pipeline::Fleet {
   /// A quiesce point: route and execute every in-flight chunk, flush
   /// `targets` — each flush ack follows every result of every execute
   /// routed before it on that worker's FIFO channel — and deliver those
-  /// results.
-  void quiesce(const std::set<std::size_t>& targets) {
+  /// results. Returns when the window had drained: where a cut's or a
+  /// migration's DriverBreakdown::checkpoint_seconds start.
+  TimePoint quiesce(const std::set<std::size_t>& targets) {
     core.drain_window();
+    const TimePoint drained = Clock::now();
     flush_targets(targets);
     core.deliver();
+    return drained;
   }
+
+  /// Charges the wall time from `start` to its scope's end to
+  /// DriverBreakdown::checkpoint_seconds.
+  struct CutClock {
+    RunReport& report;
+    TimePoint start;
+    ~CutClock() { report.driver.checkpoint_seconds += seconds_since(start); }
+  };
 
   // --- the pipeline's fleet interface -------------------------------------
 
   void start() override {
     connect_all();
     if (resume_state != nullptr) {
-      resume_replicate();
+      resume();
       return;
     }
     if (!options.journal.dir.empty()) {
@@ -1001,13 +1007,13 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     return part.publisher().value() % channels.size();
   }
 
-  /// Scripted migrations, fault schedules, checkpoints and retention floors
-  /// come due at chunk boundaries, by the next chunk's first timestamp.
+  /// Fault schedules, scripted migrations and cuts come due at chunk
+  /// boundaries, by the next chunk's first timestamp — faults first, so a
+  /// schedule can land on a migration's own frames.
   void before_chunk(stream::Timestamp first_ts) override {
-    run_migrations_due(first_ts);
     run_faults_due(first_ts);
+    run_migrations_due(first_ts);
     maybe_checkpoint(first_ts);
-    maybe_floor(first_ts);
   }
 
   /// One kMatchRequest per group, to its owner.
@@ -1185,7 +1191,7 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     }
     for (auto& r : taken) {
       if (!pending_discard.empty()) {
-        const auto dit = pending_discard.find(r.ev.stream);
+        const auto dit = pending_discard.find({r.worker, r.ev.stream});
         if (dit != pending_discard.end() && dit->second > 0) {
           --dit->second;
           continue;
@@ -1243,17 +1249,11 @@ struct Cosmos::Fed final : Pipeline::Fleet {
 
   /// Respawn + resume worker `i`: retire the dead channel, purge inbox
   /// state the dead incarnation owned, respawn cosmos_noded on the same
-  /// endpoint, replay registrations, re-hand-off each hosted engine at its
-  /// checkpoint cut, replay the data log (survivor sites drop the
-  /// duplicates by seq), re-send the in-flight barrier, and arm result
-  /// dedup for the streams the worker hosts. Runs on the driver thread,
-  /// called from wait_for with the inbox lock released.
+  /// endpoint, replay registrations, restore it to the last cut, and
+  /// re-send what it still owed: match requests, the in-flight flush, state
+  /// pulls and the traffic request. Runs on the driver thread, called from
+  /// wait_for with the inbox lock released.
   void recover(std::size_t i) {
-    if (scripted_migration_active) {
-      throw std::runtime_error{
-          "Cosmos federation: worker " + std::to_string(i) +
-          " died during a scripted migration handshake — unrecoverable"};
-    }
     ++report.federation.recoveries;
     if (report.federation.recoveries > options.recovery.max_recoveries) {
       throw std::runtime_error{
@@ -1271,8 +1271,10 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     // Purge what the dead incarnation owned. Its flush acks are retracted
     // (the respawn must re-answer after the replay) and its undelivered
     // results dropped (the replay re-emits them); results it already
-    // delivered are handled by pending_discard below. Match responses stay:
-    // matching is deterministic, a duplicate response is emplace-deduped.
+    // delivered are handled by pending_discard in restore(). Match
+    // responses and handoffs stay: matching is deterministic, and a
+    // handoff that arrived before the death is valid (same flush + seq cut
+    // the replay reconverges to).
     {
       std::lock_guard lock{mu};
       hello_acks.erase(i);
@@ -1280,7 +1282,8 @@ struct Cosmos::Fed final : Pipeline::Fleet {
       for (auto& [seq, acks] : flush_acks) acks.erase(i);
       std::erase_if(results_inbox,
                     [&](const InboxResult& r) { return r.worker == i; });
-      migrate_acks.clear();  // stale acks from an aborted earlier attempt
+      std::erase_if(migrate_acks,
+                    [&](const WorkerEngine& k) { return k.first == i; });
     }
 
     const std::string noded = options.recovery.noded_path.empty()
@@ -1290,8 +1293,7 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     // previous driver-owned incarnation before dialing a successor: a dying
     // listener's accept backlog can swallow the re-dial (the connect
     // succeeds against a process that will never serve), and the reap is
-    // the only barrier that the endpoint is really free. The chaos tests
-    // used to carry this waitpid themselves; it lives here now.
+    // the only barrier that the endpoint is really free.
     if (const auto rit = respawn_of.find(i); rit != respawn_of.end()) {
       respawned[rit->second].kill();
     }
@@ -1313,40 +1315,11 @@ struct Cosmos::Fed final : Pipeline::Fleet {
       for (const auto& f : reg_log) channels[i]->send(f);
       {
         std::unique_lock lock{mu};
-        if (!wait_recovery(lock, i,
-                           [&] { return hello_acks.contains(i); })) {
+        if (!wait_alive(lock, {i}, [&] { return hello_acks.contains(i); })) {
           return;
         }
       }
-
-      // Re-hand-off each hosted engine: units + checkpointed state + the
-      // seq cut the site resumes ordering at. kMigrateIn doubles as the
-      // deployment, which is why deploys are not in reg_log.
-      for (const auto& [engine, hw] : worker_of_engine) {
-        if (hw != i) continue;
-        const EngineCheckpoint& ec = ckpt[engine.value()];
-        channels[i]->send(wire::encode_migrate_in(
-            migrate_in(engine, ec.state, ec.exec_seq)));
-        {
-          std::unique_lock lock{mu};
-          if (!wait_recovery(lock, i, [&] {
-                return migrate_acks.contains(engine.value());
-              })) {
-            return;
-          }
-          migrate_acks.erase(engine.value());
-        }
-      }
-
-      // Data-log replay, in route order, as driver bundles (the one place
-      // peer-link mode still sends runs from the driver). An entry is
-      // replayed when its current target is the recovered worker (a lost
-      // or half-applied delivery) or its owner is (a lost kRouteDecision /
-      // unshipped slice). Survivor sites drop replayed seqs below their
-      // frontier.
-      replay_entries([&](const DataLogEntry& entry) {
-        return worker_of_engine.at(entry.engine) == i || entry.owner == i;
-      });
+      if (!restore({i})) return;
 
       // Re-send match requests this owner still owes an answer for. In
       // peer-link mode re-match even answered jobs: the retained runs died
@@ -1365,50 +1338,30 @@ struct Cosmos::Fed final : Pipeline::Fleet {
         }
       }
 
-      // Re-establish stream time, then whatever barrier was in flight —
-      // all after the replay on the same FIFO channel, so floors are met
-      // in order.
-      bool resend_flush = false;
-      std::uint64_t flush_seq = 0;
-      std::optional<std::pair<NodeId, std::size_t>> ckpt_out;
+      // Then whatever requests were in flight — after the replay on the
+      // same FIFO channel, so floors are met in order. A pull is re-sent
+      // only when its handoff was lost.
+      std::optional<std::uint64_t> flush_seq;
+      std::vector<wire::Frame> owed_pulls;
       bool resend_traffic = false;
       {
         std::lock_guard lock{mu};
         if (outstanding_flush && outstanding_flush->waiting.contains(i)) {
-          resend_flush = true;
           flush_seq = outstanding_flush->seq;
         }
-        if (outstanding_ckpt_out && outstanding_ckpt_out->second == i &&
-            !handoffs.contains(outstanding_ckpt_out->first.value())) {
-          // Only when the handoff itself was lost: a handoff that arrived
-          // before the death is valid (same flush + seq cut the replay
-          // reconverges to), and re-requesting would leave a byte-identical
-          // duplicate to go stale in the inbox.
-          ckpt_out = outstanding_ckpt_out;
+        for (const auto& [key, frame] : pulls) {
+          if (key.first == i && !handoffs.contains(key)) {
+            owed_pulls.push_back(frame);
+          }
         }
         resend_traffic = collecting_traffic && !traffic_reports.contains(i);
       }
-      if (has_watermark) {
-        send_data(i, wire::encode_watermark({last_watermark, floors_for(i)}));
+      if (flush_seq) {
+        send_data(i, wire::encode_flush({*flush_seq, floors_for(i)}));
       }
-      if (resend_flush) {
-        send_data(i, wire::encode_flush({flush_seq, floors_for(i)}));
-      }
-      if (ckpt_out) {
-        send_data(i, wire::encode_migrate_out({ckpt_out->first, 1}));
-      }
+      for (auto& frame : owed_pulls) send_data(i, std::move(frame));
       if (resend_traffic) {
         send_data(i, wire::encode_traffic_request());
-      }
-
-      // The replay re-executes everything since the checkpoint on this
-      // worker, so its streams' results are re-emitted in full; skip
-      // exactly the ones the user callback already saw.
-      for (const auto& [uid, unit] : sys.units_) {
-        if (worker_of_engine.at(unit.host) != i) continue;
-        const auto dit = delivered_since_ckpt.find(unit.result_stream);
-        pending_discard[unit.result_stream] =
-            dit == delivered_since_ckpt.end() ? 0 : dit->second;
       }
     } catch (const std::exception& e) {
       // The respawn died mid-resume: queue it again (bounded by
@@ -1417,101 +1370,109 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     }
   }
 
-  /// Periodic recovery checkpoint, taken between chunks: quiesce, then
-  /// pull every engine's state with a keep-mode kMigrateOut. On success the
-  /// data log and delivery counts reset to the new cut. A recovery racing
-  /// any of the waits aborts the attempt (the cut would straddle the
-  /// replay); the next chunk retries.
+  /// The one restore, for worker recovery and driver resume: hands in
+  /// every engine placed on `workers` from ckpt, replays the data-log
+  /// entries whose current target (a lost or half-applied delivery) or
+  /// match owner (a lost kRouteDecision / unshipped slice) is one of them
+  /// — as driver bundles, the one place peer-link mode still sends runs
+  /// from the driver; other sites drop replayed seqs below their frontier —
+  /// re-sends the watermark, and arms pending_discard: the replay
+  /// re-emits every result since each engine's cut, so the ones the user
+  /// callbacks already saw are skipped. Returns false when one of
+  /// `workers` died again (it is re-queued; the caller abandons).
+  bool restore(const std::set<std::size_t>& workers) {
+    std::vector<NodeId> engines;
+    for (const auto& [engine, w] : worker_of_engine) {
+      if (workers.contains(w)) engines.push_back(engine);
+    }
+    if (!hand_in(engines)) return false;
+    replay_entries([&](const DataLogEntry& entry) {
+      return workers.contains(worker_of_engine.at(entry.engine)) ||
+             workers.contains(entry.owner);
+    });
+    if (has_watermark) {
+      for (const std::size_t w : workers) {
+        send_data(w, wire::encode_watermark({last_watermark, floors_for(w)}));
+      }
+    }
+    std::erase_if(pending_discard, [&](const auto& d) {
+      return workers.contains(d.first.first);
+    });
+    for (const auto& [uid, unit] : sys.units_) {
+      const std::size_t w = worker_of_engine.at(unit.host);
+      const auto dit = delivered_since_ckpt.find(unit.result_stream);
+      if (workers.contains(w) && dit != delivered_since_ckpt.end()) {
+        pending_discard[{w, unit.result_stream}] = dit->second;
+      }
+    }
+    return true;
+  }
+
+  /// The one cut, taken between chunks: quiesce the fleet, then keep what
+  /// the run keeps. With worker recovery or a journal, every engine's
+  /// state is pulled (one batched keep-mode round) and becomes the new ckpt
+  /// (journaled in engine order when on); with only a data log the cut is
+  /// stateless. Either way the data log and delivery counts reset to the
+  /// cut — after the full flush every logged slice is applied everywhere.
+  /// A recovery racing the cut aborts it (its replay re-emits results the
+  /// cut would forget to skip); the next chunk retries.
   bool checkpoint() {
     const std::size_t recoveries0 = report.federation.recoveries;
     const obs::Span span{"checkpoint", "driver", ckpt.size()};
-    quiesce(all_workers());
+    const CutClock clock{report, quiesce(all_workers())};
     if (report.federation.recoveries != recoveries0) return false;
 
-    // From here on the cut is being journaled into a fresh pending segment;
-    // an aborted attempt unlinks it and the previous segment stays live.
-    if (jw) jw->begin_checkpoint();
-    std::unordered_map<std::uint64_t, EngineCheckpoint> fresh;
-    for (const auto& [engine, hw] : worker_of_engine) {
-      {
-        std::lock_guard lock{mu};
-        handoffs.erase(engine.value());  // stale duplicate from a re-request
-        outstanding_ckpt_out = std::pair{engine, hw};
+    if (options.recovery.enabled || jw) {
+      // From here on the cut is journaled into a fresh pending segment; an
+      // aborted attempt unlinks it and the previous segment stays live.
+      if (jw) jw->begin_checkpoint();
+      std::vector<NodeId> engines;
+      for (const auto& [engine, hw] : worker_of_engine) {
+        engines.push_back(engine);
       }
-      const auto pull = wire::encode_migrate_out({engine, /*keep=*/1});
-      send_data(hw, pull);
-      // A duplicate handoff is byte-identical (same flush + seq cut) and
-      // insert_or_assign-deduped.
-      await_all(
-          std::array{hw},
-          [&](std::size_t) { return handoffs.contains(engine.value()); },
-          [&](std::size_t) { resend_stalled(hw, pull); });
-      EngineCheckpoint ec{{}, exec_seq_of(engine)};
-      {
-        std::lock_guard lock{mu};
-        ec.state =
-            std::move(handoffs.extract(engine.value()).mapped().first.units);
-        outstanding_ckpt_out.reset();
-      }
+      auto handed = pull(engines);
       if (report.federation.recoveries != recoveries0) {
         if (jw) jw->abort_checkpoint();
         return false;
       }
-      if (jw) {
-        jw->engine_state({engine, static_cast<std::uint32_t>(hw),
-                          ec.exec_seq, ec.state});
+      for (std::size_t k = 0; k < engines.size(); ++k) {
+        journal::EngineState es{
+            engines[k],
+            static_cast<std::uint32_t>(worker_of_engine.at(engines[k])),
+            exec_seq_of(engines[k]), std::move(handed[k].first.units)};
+        if (jw) jw->engine_state(es);
+        ckpt[engines[k].value()] = {std::move(es.units), es.exec_seq};
       }
-      fresh.emplace(engine.value(), std::move(ec));
+      if (jw) {
+        journal::CheckpointCommit c;
+        c.checkpoint_id = ++next_ckpt_id;
+        c.events_consumed = events_consumed;
+        c.chunk_index = chunk_index;
+        c.watermark = last_watermark;
+        c.has_watermark = has_watermark;
+        c.engine_states = engines.size();
+        jw->commit_checkpoint(c);
+      }
     }
-    if (jw) {
-      journal::CheckpointCommit c;
-      c.checkpoint_id = ++next_ckpt_id;
-      c.events_consumed = events_consumed;
-      c.chunk_index = chunk_index;
-      c.watermark = last_watermark;
-      c.has_watermark = has_watermark;
-      c.engine_states = worker_of_engine.size();
-      jw->commit_checkpoint(c);
-    }
-    ckpt = std::move(fresh);
     data_log.clear();
     delivered_since_ckpt.clear();
     pending_discard.clear();
+    ++report.federation.checkpoints;
     return true;
   }
 
-  /// Stream-time period between checkpoints: the tighter of the recovery
-  /// and journal cadences (0 = neither wants periodic cuts, so only the
-  /// initial checkpoint is taken).
-  [[nodiscard]] stream::Timestamp checkpoint_period() const {
-    stream::Timestamp period = 0;
-    if (options.recovery.enabled && options.recovery.checkpoint_every_ms > 0) {
-      period = options.recovery.checkpoint_every_ms;
-    }
-    if (jw && options.journal.checkpoint_every_ms > 0) {
-      period = period == 0
-                   ? options.journal.checkpoint_every_ms
-                   : std::min(period, options.journal.checkpoint_every_ms);
-    }
-    return period;
-  }
-
-  /// The armed initial checkpoint (empty state, seq 0) covers the run
-  /// until the first periodic one.
+  /// The one cadence (FederationOptions::Journal::checkpoint_every_ms): a
+  /// cut comes due once that much stream time passed since the last one.
+  /// The initial cut (empty state, seq 0) covers the run until the first.
+  /// A run that keeps neither engine state nor a data log has nothing to
+  /// cut.
   void maybe_checkpoint(stream::Timestamp now) {
-    if (ckpt_cadence.due(now, checkpoint_period()) && checkpoint()) {
-      ckpt_cadence.last_ms = now;
-    }
-  }
-
-  /// Periodic retention-floor advance (FederationOptions::retention),
-  /// between checkpoints: a fleet-wide quiesce, whose full flush-ack set
-  /// advances acked_floor and prunes the data log. No state is pulled, so
-  /// it is much cheaper than a checkpoint.
-  void maybe_floor(stream::Timestamp now) {
-    if (floor_cadence.due(now, options.retention.floor_every_ms)) {
-      quiesce(all_workers());
-      floor_cadence.last_ms = now;
+    const stream::Timestamp period = options.journal.checkpoint_every_ms;
+    if (period <= 0 || (!jw && !log_data)) return;
+    if (!last_cut_ms) {
+      last_cut_ms = now;
+    } else if (now - *last_cut_ms >= period && checkpoint()) {
+      last_cut_ms = now;
     }
   }
 
@@ -1545,11 +1506,14 @@ struct Cosmos::Fed final : Pipeline::Fleet {
     }
   }
 
-  /// Drain -> serialize -> handoff: quiesce the source worker, pull the
-  /// engine's serialized join state off it, and redeploy units + state on
-  /// the destination at the current seq cut. In-flight window must be
-  /// empty first — otherwise a pending chunk could still route executes to
-  /// the source.
+  /// A migration is a one-engine cut plus a re-pin: quiesce the source,
+  /// pull the engine's state through the shared pull (a source death
+  /// re-hosts it from the last cut and re-sends the pull), make that state
+  /// the engine's ckpt entry at the current seq, move its placement, drop
+  /// it at the source and hand it in at the destination (a destination
+  /// death re-hands it in from that entry). The drop is sent right after
+  /// the re-pin, so it can only reach the incarnation hosting the engine;
+  /// the reader discards its handoff, which answers no pull.
   void migrate(const FederationOptions::Migration& m) {
     const auto wit = worker_of_engine.find(m.engine);
     if (wit == worker_of_engine.end()) {
@@ -1562,36 +1526,17 @@ struct Cosmos::Fed final : Pipeline::Fleet {
 
     const obs::Span span{"migrate", "driver", m.engine.value()};
     obs::Tracer::instance().instant("migration", "driver", m.engine.value());
-
-    quiesce({src});
-
-    // A worker death inside the handshake below is unrecoverable (the
-    // engine's state is mid-flight); recover() throws on this flag.
-    scripted_migration_active = true;
-    send(src, wire::encode_migrate_out({m.engine}));
-    wire::StateHandoffMsg handed;
-    std::uint64_t handed_bytes = 0;
-    {
-      std::unique_lock lock{mu};
-      wait_for(lock, [&] { return handoffs.contains(m.engine.value()); });
-      auto node = handoffs.extract(m.engine.value());
-      handed = std::move(node.mapped().first);
-      handed_bytes = node.mapped().second;
+    const CutClock clock{report, quiesce({src})};
+    auto [handed, bytes] = std::move(pull({m.engine}).front());
+    ckpt[m.engine.value()] = {std::move(handed.units), exec_seq_of(m.engine)};
+    for (const auto& [uid, unit] : sys.units_) {
+      if (unit.host == m.engine) delivered_since_ckpt.erase(unit.result_stream);
     }
-    if (handed.engine != m.engine) {
-      throw std::runtime_error{
-          "Cosmos federation: state handoff for an unexpected engine"};
-    }
-
-    // Resume seq ordering where the engine left off — without this the
-    // destination site would reset to seq 0 and hold back every execute.
-    hand_in(dst, migrate_in(m.engine, std::move(handed.units),
-                            exec_seq_of(m.engine)));
-    scripted_migration_active = false;
-
     wit->second = dst;
+    send_data(src, wire::encode_migrate_out({m.engine, /*keep=*/0}));
+    (void)hand_in({m.engine});
     ++report.federation.migrations;
-    report.federation.state_bytes_migrated += handed_bytes;
+    report.federation.state_bytes_migrated += bytes;
   }
 
   /// Folds every received kStatsSample into the report timeline (ordered

@@ -126,6 +126,7 @@ Meta decode_meta(wire::Reader& r) {
   m.worker_shards = r.u32();
   m.peer_links = r.u8() != 0;
   const std::uint32_t n = r.u32();
+  wire::check_count(n, r.remaining(), "meta endpoint");
   m.endpoints.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.endpoints.push_back(r.str());
   r.done();
@@ -136,11 +137,7 @@ void encode_engine_state(wire::Writer& w, const EngineState& s) {
   w.u32(s.engine.value());
   w.u32(s.worker);
   w.u64(s.exec_seq);
-  w.u32(static_cast<std::uint32_t>(s.units.size()));
-  for (const auto& u : s.units) {
-    w.u32(u.unit_id);
-    wire::encode_join_state(w, u.joins);
-  }
+  wire::encode_unit_states(w, s.units);
 }
 
 EngineState decode_engine_state(wire::Reader& r) {
@@ -148,14 +145,7 @@ EngineState decode_engine_state(wire::Reader& r) {
   s.engine = NodeId{r.u32()};
   s.worker = r.u32();
   s.exec_seq = r.u64();
-  const std::uint32_t n = r.u32();
-  s.units.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    wire::UnitStateMsg u;
-    u.unit_id = r.u32();
-    u.joins = wire::decode_join_state(r);
-    s.units.push_back(std::move(u));
-  }
+  s.units = wire::decode_unit_states(r, "engine-state unit");
   r.done();
   return s;
 }
@@ -207,6 +197,7 @@ void encode_delivered(wire::Writer& w,
 
 std::vector<DeliveredCount> decode_delivered(wire::Reader& r) {
   const std::uint32_t n = r.u32();
+  wire::check_count(n, r.remaining(), "delivered stream");
   std::vector<DeliveredCount> counts;
   counts.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -7,9 +7,11 @@ namespace cosmos::wire {
 namespace {
 
 constexpr std::size_t kMaxPredicateDepth = 64;
-/// Sanity caps on decoded element counts: each element costs at least one
-/// byte on the wire, so any count exceeding the remaining payload bytes is
-/// provably corrupt — reject before reserving memory for it.
+
+stream::PredicatePtr decode_predicate_rec(Reader& r, std::size_t depth);
+
+}  // namespace
+
 void check_count(std::uint64_t count, std::size_t remaining,
                  const char* what) {
   if (count > remaining) {
@@ -17,10 +19,6 @@ void check_count(std::uint64_t count, std::size_t remaining,
                 std::to_string(count)};
   }
 }
-
-stream::PredicatePtr decode_predicate_rec(Reader& r, std::size_t depth);
-
-}  // namespace
 
 const char* to_string(FrameType type) noexcept {
   switch (type) {

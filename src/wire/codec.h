@@ -166,6 +166,13 @@ class Reader {
 
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 
+/// Sanity cap on a decoded element count: each element costs at least one
+/// byte, so a count exceeding the bytes left is provably corrupt. Decoders
+/// (wire and journal) call it before reserving memory for the elements;
+/// throws wire::Error naming `what`.
+void check_count(std::uint64_t count, std::size_t remaining,
+                 const char* what);
+
 // ---------------------------------------------------------------------------
 // Domain payload codecs. Each encode_x appends to a Writer; each decode_x
 // consumes from a Reader (throwing wire::Error on malformed input).

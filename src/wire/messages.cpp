@@ -5,16 +5,6 @@
 namespace cosmos::wire {
 namespace {
 
-/// Every element of a counted list occupies at least one byte, so a count
-/// larger than the bytes left is a corrupt prefix — reject before resize.
-void check_count(std::uint64_t count, std::size_t remaining,
-                 const char* what) {
-  if (count > remaining) {
-    throw Error{std::string{"wire: implausible "} + what + " count " +
-                std::to_string(count)};
-  }
-}
-
 [[nodiscard]] Frame finish(FrameType type, Writer&& w) {
   return Frame{type, w.take()};
 }
@@ -29,18 +19,6 @@ void check_count(std::uint64_t count, std::size_t remaining,
 
 void encode_node_id(Writer& w, NodeId id) { w.u32(id.value()); }
 [[nodiscard]] NodeId decode_node_id(Reader& r) { return NodeId{r.u32()}; }
-
-void encode_unit_state(Writer& w, const UnitStateMsg& u) {
-  w.u32(u.unit_id);
-  encode_join_state(w, u.joins);
-}
-
-[[nodiscard]] UnitStateMsg decode_unit_state(Reader& r) {
-  UnitStateMsg u;
-  u.unit_id = r.u32();
-  u.joins = decode_join_state(r);
-  return u;
-}
 
 void encode_floors(Writer& w, const std::vector<EngineFloor>& floors) {
   w.u32(static_cast<std::uint32_t>(floors.size()));
@@ -127,6 +105,25 @@ void encode_deploy_payload(Writer& w, const DeployUnitMsg& m) {
 }
 
 }  // namespace
+
+void encode_unit_states(Writer& w, const std::vector<UnitStateMsg>& units) {
+  w.u32(static_cast<std::uint32_t>(units.size()));
+  for (const auto& u : units) {
+    w.u32(u.unit_id);
+    encode_join_state(w, u.joins);
+  }
+}
+
+std::vector<UnitStateMsg> decode_unit_states(Reader& r, const char* what) {
+  const std::uint32_t count = r.u32();
+  check_count(count, r.remaining(), what);
+  std::vector<UnitStateMsg> units(count);
+  for (auto& u : units) {
+    u.unit_id = r.u32();
+    u.joins = decode_join_state(r);
+  }
+  return units;
+}
 
 Frame encode_hello(const HelloMsg& m) {
   Writer w;
@@ -454,8 +451,7 @@ MigrateOutMsg decode_migrate_out(const Frame& f) {
 Frame encode_state_handoff(const StateHandoffMsg& m) {
   Writer w;
   encode_node_id(w, m.engine);
-  w.u32(static_cast<std::uint32_t>(m.units.size()));
-  for (const auto& u : m.units) encode_unit_state(w, u);
+  encode_unit_states(w, m.units);
   return finish(FrameType::kStateHandoff, std::move(w));
 }
 
@@ -463,12 +459,7 @@ StateHandoffMsg decode_state_handoff(const Frame& f) {
   auto r = open(f, FrameType::kStateHandoff);
   StateHandoffMsg m;
   m.engine = decode_node_id(r);
-  const std::uint32_t units = r.u32();
-  check_count(units, r.remaining(), "handoff unit");
-  m.units.reserve(units);
-  for (std::uint32_t i = 0; i < units; ++i) {
-    m.units.push_back(decode_unit_state(r));
-  }
+  m.units = decode_unit_states(r, "handoff unit");
   r.done();
   return m;
 }
@@ -478,8 +469,7 @@ Frame encode_migrate_in(const MigrateInMsg& m) {
   encode_node_id(w, m.engine);
   w.u32(static_cast<std::uint32_t>(m.units.size()));
   for (const auto& u : m.units) encode_deploy_payload(w, u);
-  w.u32(static_cast<std::uint32_t>(m.state.size()));
-  for (const auto& u : m.state) encode_unit_state(w, u);
+  encode_unit_states(w, m.state);
   w.u64(m.exec_seq);
   return finish(FrameType::kMigrateIn, std::move(w));
 }
@@ -494,12 +484,7 @@ MigrateInMsg decode_migrate_in(const Frame& f) {
   for (std::uint32_t i = 0; i < units; ++i) {
     m.units.push_back(decode_deploy_payload(r));
   }
-  const std::uint32_t states = r.u32();
-  check_count(states, r.remaining(), "migrate-in state");
-  m.state.reserve(states);
-  for (std::uint32_t i = 0; i < states; ++i) {
-    m.state.push_back(decode_unit_state(r));
-  }
+  m.state = decode_unit_states(r, "migrate-in state");
   m.exec_seq = r.u64();
   r.done();
   return m;

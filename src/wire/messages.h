@@ -190,8 +190,8 @@ struct FlushAckMsg {
 struct MigrateOutMsg {
   NodeId engine;
   /// Non-zero: checkpoint mode — serialize and hand off the engine's state
-  /// but keep the units deployed and running (the driver uses this to take
-  /// recovery checkpoints without disturbing the placement).
+  /// but keep the units deployed and running (the driver's one state pull,
+  /// for cuts and migrations alike). Zero drops the engine after export.
   std::uint8_t keep = 0;
 };
 
@@ -200,6 +200,13 @@ struct UnitStateMsg {
   std::uint32_t unit_id = 0;
   std::vector<stream::WindowJoinOp::State> joins;
 };
+
+/// An engine's unit states as one counted list: the encoding kStateHandoff,
+/// kMigrateIn and the journal's engine-state record share. Decoding checks
+/// the count (named `what` in the error) before allocating.
+void encode_unit_states(Writer& w, const std::vector<UnitStateMsg>& units);
+[[nodiscard]] std::vector<UnitStateMsg> decode_unit_states(Reader& r,
+                                                           const char* what);
 
 struct StateHandoffMsg {
   NodeId engine;

@@ -5,7 +5,10 @@
 // execute-shipping topologies (star and peer links), which makes this the
 // end-to-end regression for the whole recovery tail: stale-socket rebind,
 // registration replay, checkpointed state re-handoff, data-log replay and
-// the sites' per-engine seq dedup.
+// the sites' per-engine seq dedup. A scripted migration is a one-engine
+// cut, so a worker that dies on any of its frames — the source on the state
+// pull or on the drop, the destination on the hand-in — recovers the same
+// way.
 //
 // Also here (they need real cosmos_noded processes): the peer-link traffic
 // accounting guarantee — with peer_links on, execute batches travel
@@ -18,6 +21,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cosmos/cosmos.h"
@@ -51,8 +55,9 @@ Fleet spawn_fleet(std::size_t n, const std::string& tag) {
 }
 
 TEST(FederationChaos, KillRespawnResumeMatchesPush) {
-  // COSMOS_CHAOS_TRACE, when set, collects the first configuration's
-  // merged Chrome trace for CI validation (tools/check_trace.py).
+  // COSMOS_CHAOS_TRACE, when set, collects the merged Chrome trace of the
+  // first configuration that cuts, for CI validation
+  // (scripts/check_trace.py): it must show a checkpoint and a recovery.
   const char* trace_env = std::getenv("COSMOS_CHAOS_TRACE");
   bool trace_written = false;
 
@@ -84,8 +89,9 @@ TEST(FederationChaos, KillRespawnResumeMatchesPush) {
       opts.peer_links = cfg.peer_links;
       opts.recovery.enabled = true;
       opts.recovery.noded_path = node::default_noded_path();
-      opts.recovery.checkpoint_every_ms = cfg.checkpoint_every_ms;
-      if (trace_env != nullptr && !trace_written) {
+      opts.journal.checkpoint_every_ms = cfg.checkpoint_every_ms;
+      if (trace_env != nullptr && !trace_written &&
+          cfg.checkpoint_every_ms > 0) {
         opts.trace_path = trace_env;
         trace_written = true;
       }
@@ -107,6 +113,8 @@ TEST(FederationChaos, KillRespawnResumeMatchesPush) {
                           << seed << " workers=" << cfg.workers;
       EXPECT_EQ(report.federation.recoveries, 1u);
       EXPECT_EQ(report.tuples, w.events.size());
+      EXPECT_EQ(report.federation.checkpoints > 0,
+                cfg.checkpoint_every_ms > 0);
       ASSERT_EQ(fed_log, push_log)
           << "chaos differential mismatch: seed=" << seed
           << " workers=" << cfg.workers
@@ -215,6 +223,98 @@ TEST(FederationChaos, KillDuringRecoveryReplayRecoversBoth) {
   ASSERT_TRUE(killed_first && killed_second);
   EXPECT_EQ(report.federation.recoveries, 2u);
   ASSERT_EQ(fed_log, push_log) << "overlapping-kill differential mismatch";
+}
+
+/// The frame of a scripted migration a worker dies on.
+enum class MigrationDeath {
+  kSourceOnPull,
+  kSourceOnDrop,
+  kDestinationOnHandIn,
+};
+
+/// One mid-migration death: a corrupt-frame fault, installed at the
+/// migration's own chunk boundary (faults come due first), kills the
+/// victim on the named frame; the run must recover once, migrate once and
+/// stay byte-identical to push().
+void expect_migration_death_recovers(MigrationDeath death, bool peer_links) {
+  SCOPED_TRACE(std::string{peer_links ? "peer" : "star"} + " death=" +
+               std::to_string(static_cast<int>(death)));
+  const auto w = make_workload(2);
+  ResultLog push_log;
+  {
+    auto sys = build_system(w, push_log);
+    for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
+  }
+
+  auto fleet = spawn_fleet(2, "middeath");
+  ResultLog fed_log;
+  auto sys = build_system(w, fed_log);
+
+  // Move the first query's engine off its initial worker (host % 2).
+  const NodeId engine = std::get<1>(w.queries.front());
+  const std::size_t src = engine.value() % 2;
+  const std::size_t dst = 1 - src;
+  const stream::Timestamp at = w.events[w.events.size() / 2].tuple.ts;
+
+  Cosmos::FederationOptions opts;
+  opts.workers = fleet.endpoints;
+  opts.batch_size = 16;
+  opts.tick_ms = 20 * 60'000;
+  opts.peer_links = peer_links;
+  opts.recovery.enabled = true;
+  opts.recovery.noded_path = node::default_noded_path();
+  // Frames are counted from the boundary: with a window of one chunk
+  // nothing is in flight there, and without heartbeats the driver's only
+  // frames to the source are the flush (0), the state pull (1) and the
+  // drop (2), and to the destination the hand-in (0).
+  opts.max_inflight_chunks = 1;
+  opts.liveness.heartbeat_every_ms = 0;
+  opts.liveness.deadline_ms = 0;
+  opts.migrations.push_back({at, engine, dst});
+  std::size_t victim = src;
+  const char* plan = "send:corrupt@after=1,for=1";
+  if (death == MigrationDeath::kSourceOnDrop) {
+    plan = "send:corrupt@after=2,for=1";
+  } else if (death == MigrationDeath::kDestinationOnHandIn) {
+    victim = dst;
+    plan = "send:corrupt@after=0,for=1";
+  }
+  opts.faults.push_back({at, victim, plan});
+  // The victim exits on its own after reporting kError; reap it before the
+  // driver re-dials its endpoint, or the dial can land in the dying
+  // listener's backlog and cost a second recovery.
+  opts.on_respawn = [&](std::size_t worker, pid_t) {
+    if (worker == victim) fleet.procs[victim].kill();
+  };
+
+  const auto report = sys->run_federated(w.events, opts);
+
+  EXPECT_EQ(report.federation.faults_injected, 1u);
+  EXPECT_EQ(report.federation.migrations, 1u);
+  EXPECT_EQ(report.federation.recoveries, 1u);
+  EXPECT_GT(report.federation.state_bytes_migrated, 0u);
+  ASSERT_EQ(fed_log, push_log) << "mid-migration death changed results";
+  EXPECT_NE(fleet.procs[victim].wait(), 0);
+  EXPECT_EQ(fleet.procs[1 - victim].wait(), 0);
+}
+
+TEST(FederationChaos, SourceDiesOnMigrationStatePull) {
+  for (const bool peer : {false, true}) {
+    expect_migration_death_recovers(MigrationDeath::kSourceOnPull, peer);
+  }
+}
+
+TEST(FederationChaos, SourceDiesOnMigrationDrop) {
+  for (const bool peer : {false, true}) {
+    expect_migration_death_recovers(MigrationDeath::kSourceOnDrop, peer);
+  }
+}
+
+TEST(FederationChaos, DestinationDiesOnMigrationHandIn) {
+  for (const bool peer : {false, true}) {
+    expect_migration_death_recovers(MigrationDeath::kDestinationOnHandIn,
+                                    peer);
+  }
 }
 
 TEST(FederationChaos, PeerLinksKeepExecuteBytesOffDriver) {

@@ -26,8 +26,10 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cosmos/cosmos.h"
@@ -126,6 +128,9 @@ struct CrashConfig {
   /// never exercise a nonzero cut.
   std::size_t kill_chunk = 5;
   stream::Timestamp checkpoint_ms = 0;  ///< journal checkpoint cadence
+  std::vector<Cosmos::FederationOptions::Migration> migrations;
+  /// Inspects the journal the crash left, before resume reads it.
+  std::function<void(const journal::RecoveredRun&)> check_journal;
 };
 
 /// The full kill -9 + resume differential for one configuration. Child exit
@@ -164,6 +169,7 @@ void run_crash_resume_case(const CrashConfig& cfg, const std::string& tag) {
     opts.peer_links = cfg.peer_links;
     opts.journal.dir = journal_dir;
     opts.journal.checkpoint_every_ms = cfg.checkpoint_ms;
+    opts.migrations = cfg.migrations;
     opts.on_chunk = [&](std::size_t chunk) {
       if (chunk == cfg.kill_chunk) ::kill(::getpid(), SIGKILL);
     };
@@ -185,6 +191,7 @@ void run_crash_resume_case(const CrashConfig& cfg, const std::string& tag) {
   for (auto& p : fleet.procs) p.kill();
 
   const ResultLog pre_crash = read_result_file(results_path);
+  if (cfg.check_journal) cfg.check_journal(journal::recover(journal_dir));
 
   // COSMOS_DURABILITY_JOURNAL, when set, exports the first crashed run's
   // journal segments (pre-resume, exactly as the kill left them) for CI to
@@ -269,6 +276,51 @@ TEST(FederationDurability, LateCrashResumesFromRolledCheckpointSegment) {
   run_crash_resume_case(cfg, "rolled");
 }
 
+TEST(FederationDurability, CrashAfterMigrationResumesByteIdentical) {
+  // A scripted migration, then the driver's SIGKILL. With a cut between
+  // them, resume places the moved engine where the cut's state record
+  // says: on its destination. Without one, the newest cut predates the
+  // migration, so resume places the engine from that cut — back on its
+  // source — and re-splits the journaled bundles accordingly.
+  constexpr std::size_t kBatch = 16;
+  constexpr stream::Timestamp kTick = 20 * 60'000;
+  constexpr std::size_t kMigrateChunk = 2;
+  constexpr std::size_t kCutChunk = 4;
+  const auto w = make_workload(2);
+  std::vector<stream::Timestamp> first_ts;
+  runtime::Driver::replay(w.events, {kBatch, kTick},
+                          [&](runtime::Chunk&& c) {
+                            first_ts.push_back(c.first_ts);
+                          });
+  ASSERT_GT(first_ts.size(), 10u);
+  const NodeId engine = std::get<1>(w.queries.front());
+  const std::uint32_t dst = 1 - engine.value() % 2;
+
+  for (const bool cut_between : {true, false}) {
+    CrashConfig cfg;
+    cfg.seed = 2;
+    cfg.workers = 2;
+    cfg.kill_chunk = 7;
+    cfg.migrations = {{first_ts[kMigrateChunk], engine, dst}};
+    // The cadence starts at chunk 0, so this period first cuts at chunk 4:
+    // after the migration, before the kill.
+    cfg.checkpoint_ms = cut_between ? first_ts[kCutChunk] - first_ts[0] : 0;
+    cfg.check_journal = [&](const journal::RecoveredRun& rec) {
+      std::optional<std::uint32_t> placed;
+      for (const auto& es : rec.engines) {
+        if (es.engine == engine) placed = es.worker;
+      }
+      if (cut_between) {
+        EXPECT_EQ(placed, std::optional<std::uint32_t>{dst});
+      } else {
+        EXPECT_EQ(placed, std::nullopt);  // the initial, state-free cut
+      }
+    };
+    run_crash_resume_case(cfg, cut_between ? "migcut" : "mig");
+    if (HasFatalFailure()) return;
+  }
+}
+
 TEST(FederationDurability, ResumeOfCompletedRunDeliversNothingNew) {
   // Resume is idempotent at the limit: a journal whose run finished has
   // every result under the delivered floor, so the resumed run re-ingests
@@ -293,6 +345,9 @@ TEST(FederationDurability, ResumeOfCompletedRunDeliversNothingNew) {
     const auto report = sys->run_federated(w.events, opts);
     EXPECT_GT(report.federation.journal_bytes, 0u);
     EXPECT_GT(report.federation.journal_fsyncs, 0u);
+    // Nothing replays a fresh journal-only star run's in-memory data log
+    // (resume seeds its own from the journal), so none is kept.
+    EXPECT_EQ(report.federation.data_log_appended, 0u);
   }
   ASSERT_EQ(fed_log, push_log);
   for (auto& p : fleet.procs) p.kill();

@@ -1,11 +1,12 @@
 // In-memory retention boundedness: the driver's replay data log must not
-// grow with the trace when retention floors are enabled — independent of
-// journaling. A floor is a fleet-wide flush ack: once every worker has
-// applied execute seq s, entries below s can never be replayed and are
-// pruned. The differential half of each case proves pruning never changes
-// delivered results.
+// grow with the trace when cuts are on — independent of journaling. A cut
+// (journal.checkpoint_every_ms) ends in a fleet-wide flush ack: every
+// logged slice is then applied on every worker, so the log resets. Without
+// worker recovery or a journal the cut pulls no state. The differential
+// half of each case proves pruning never changes delivered results.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,25 @@ Fleet spawn_fleet(std::size_t n, const std::string& tag) {
   return fleet;
 }
 
+/// The cuts a run of `events` takes at `period`: one at every chunk
+/// boundary where `period` of stream time has passed since the last cut,
+/// the clock starting at the first chunk.
+std::size_t cuts_in(const std::vector<runtime::TraceEvent>& events,
+                    runtime::Driver::Options chunking,
+                    stream::Timestamp period) {
+  std::size_t cuts = 0;
+  std::optional<stream::Timestamp> last;
+  runtime::Driver::replay(events, chunking, [&](runtime::Chunk&& chunk) {
+    if (!last) {
+      last = chunk.first_ts;
+    } else if (chunk.first_ts - *last >= period) {
+      last = chunk.first_ts;
+      ++cuts;
+    }
+  });
+  return cuts;
+}
+
 TEST(FederationRetention, FloorsBoundTheDataLog) {
   const auto w = make_workload(3);
   ResultLog push_log;
@@ -48,16 +68,19 @@ TEST(FederationRetention, FloorsBoundTheDataLog) {
   }
 
   // peer_links forces data logging (replay source for lossy peer sends),
-  // which is exactly the buffer retention has to bound.
-  auto run = [&](stream::Timestamp floor_every_ms, ResultLog& log) {
-    auto fleet = spawn_fleet(2, floor_every_ms > 0 ? "floor" : "nofloor");
+  // which is exactly the buffer retention has to bound. No recovery and no
+  // journal: the cuts are stateless.
+  constexpr std::size_t kBatch = 16;
+  constexpr stream::Timestamp kTick = 20 * 60'000;
+  auto run = [&](stream::Timestamp cut_every_ms, ResultLog& log) {
+    auto fleet = spawn_fleet(2, cut_every_ms > 0 ? "floor" : "nofloor");
     auto sys = build_system(w, log);
     Cosmos::FederationOptions opts;
     opts.workers = fleet.endpoints;
-    opts.batch_size = 16;
-    opts.tick_ms = 20 * 60'000;
+    opts.batch_size = kBatch;
+    opts.tick_ms = kTick;
     opts.peer_links = true;
-    opts.retention.floor_every_ms = floor_every_ms;
+    opts.journal.checkpoint_every_ms = cut_every_ms;
     const auto report = sys->run_federated(w.events, opts);
     for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
     return report;
@@ -67,25 +90,34 @@ TEST(FederationRetention, FloorsBoundTheDataLog) {
   const auto unbounded = run(0, unbounded_log);
   ASSERT_EQ(unbounded_log, push_log);
   ASSERT_GT(unbounded.federation.data_log_appended, 0u);
-  // No floors: the log holds every entry ever appended at the end.
+  // No cuts: the log holds every entry ever appended at the end.
   EXPECT_EQ(unbounded.federation.data_log_peak_entries,
             unbounded.federation.data_log_appended);
+  EXPECT_EQ(unbounded.federation.checkpoints, 0u);
+  EXPECT_EQ(unbounded.driver.checkpoint_seconds, 0.0);
 
+  // A 30-minute period over a 2-hour trace of 20-minute chunks: the cuts
+  // land on chunk boundaries, so count them from the chunking itself.
+  constexpr stream::Timestamp kPeriod = 30 * 60'000;
+  const std::size_t expected = cuts_in(w.events, {kBatch, kTick}, kPeriod);
+  ASSERT_GT(expected, 1u);
   ResultLog bounded_log;
-  const auto bounded = run(60'000, bounded_log);
+  const auto bounded = run(kPeriod, bounded_log);
   ASSERT_EQ(bounded_log, push_log) << "retention pruning changed results";
+  EXPECT_EQ(bounded.federation.checkpoints, expected);
+  EXPECT_GT(bounded.driver.checkpoint_seconds, 0.0);
   // Same trace, same routing: appends are identical; only the peak moves.
   EXPECT_EQ(bounded.federation.data_log_appended,
             unbounded.federation.data_log_appended);
   EXPECT_LT(bounded.federation.data_log_peak_entries,
             bounded.federation.data_log_appended)
-      << "retention floors never pruned the data log";
+      << "cuts never pruned the data log";
 }
 
 TEST(FederationRetention, FloorsComposeWithWorkerRecovery) {
-  // Recovery needs the data log *from the last checkpoint*, not forever:
-  // with checkpoints cutting regularly and floors pruning below the acked
-  // frontier, a mid-trace worker kill must still replay correctly.
+  // Recovery needs the data log *from the last cut*, not forever: with
+  // cuts pulling state and resetting the log every period, a mid-trace
+  // worker kill must still replay correctly.
   const auto w = make_workload(6);
   ResultLog push_log;
   {
@@ -102,8 +134,7 @@ TEST(FederationRetention, FloorsComposeWithWorkerRecovery) {
   opts.tick_ms = 20 * 60'000;
   opts.recovery.enabled = true;
   opts.recovery.noded_path = node::default_noded_path();
-  opts.recovery.checkpoint_every_ms = 20 * 60'000;
-  opts.retention.floor_every_ms = 60'000;
+  opts.journal.checkpoint_every_ms = 20 * 60'000;
   bool killed = false;
   opts.on_chunk = [&](std::size_t chunk) {
     if (chunk == 3 && !killed) {
@@ -115,6 +146,9 @@ TEST(FederationRetention, FloorsComposeWithWorkerRecovery) {
 
   ASSERT_TRUE(killed) << "trace too short to land the kill";
   EXPECT_EQ(report.federation.recoveries, 1u);
+  EXPECT_GT(report.federation.checkpoints, 0u);
+  EXPECT_LT(report.federation.data_log_peak_entries,
+            report.federation.data_log_appended);
   ASSERT_EQ(fed_log, push_log)
       << "retention + recovery differential mismatch";
 }

@@ -3,7 +3,8 @@
 // never a crash, a hang, or silent divergence. The cases mirror
 // docs/durability.md: torn tail (truncate at the last whole record),
 // flipped CRC byte (also inside an execute bundle), truncated header, stale
-// format version, wrong magic, and a commitless / empty directory.
+// format version, wrong magic, a commitless / empty directory, and
+// CRC-valid records whose element counts cannot fit their payload.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "journal/crc32.h"
 #include "journal/journal.h"
 #include "wire/messages.h"
 
@@ -274,6 +276,77 @@ TEST_F(JournalCorruptionTest, FlippedByteInsideBundleRollsBackToLastWholeChunk) 
   EXPECT_EQ(rec.resume_events, 5u);
   EXPECT_EQ(rec.resume_chunk, 1u);
   EXPECT_EQ(rec.watermark, 60'000);
+}
+
+/// Appends one CRC-valid record to the segment at `path`: the damage the
+/// count checks guard against is a well-framed record that lies about its
+/// contents, not a checksum failure.
+void append_record(const std::string& path, RecordType type,
+                   const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> body{static_cast<std::uint8_t>(type)};
+  body.insert(body.end(), payload.begin(), payload.end());
+  wire::Writer frame;
+  frame.u32(static_cast<std::uint32_t>(body.size()));
+  frame.u32(crc32(body.data(), body.size()));
+  auto bytes = frame.take();
+  bytes.insert(bytes.end(), body.begin(), body.end());
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Claims that no record payload can hold: one element per byte at most.
+constexpr std::uint32_t kImplausibleCounts[] = {0xFFFFFFFFu, 100'000'000u};
+
+TEST_F(JournalCorruptionTest, ImplausibleMetaEndpointCountIsCorrupt) {
+  write_valid_journal(dir_);
+  auto header = slurp(seg_path());
+  header.resize(kSegmentHeaderBytes);
+  for (const std::uint32_t count : kImplausibleCounts) {
+    dump(seg_path(), header);
+    wire::Writer meta;
+    meta.u16(wire::kProtocolVersion);
+    meta.u64(16);  // batch_size
+    meta.i64(0);   // tick_ms
+    meta.u32(1);   // worker_shards
+    meta.u8(0);    // peer_links
+    meta.u32(count);
+    append_record(seg_path(), RecordType::kMeta, meta.take());
+    EXPECT_EQ(recover_error(dir_), ErrorCode::kCorruptRecord) << count;
+  }
+}
+
+TEST_F(JournalCorruptionTest, ImplausibleEngineStateUnitCountIsCorrupt) {
+  for (const std::uint32_t count : kImplausibleCounts) {
+    Meta meta;
+    meta.endpoints = {"unix:/tmp/w0.sock"};
+    { auto w = Writer::create(dir_, meta, Writer::Options{}); }
+    // The cut's engine-state record, before any commit: the segment holds
+    // no valid cut, so recovery names the damage.
+    wire::Writer state;
+    state.u32(3);   // engine
+    state.u32(0);   // worker
+    state.u64(12);  // exec_seq
+    state.u32(count);
+    append_record(seg_path(), RecordType::kEngineState, state.take());
+    EXPECT_EQ(recover_error(dir_), ErrorCode::kCorruptRecord) << count;
+  }
+}
+
+TEST_F(JournalCorruptionTest, ImplausibleDeliveredCountIsACorruptTail) {
+  for (const std::uint32_t count : kImplausibleCounts) {
+    write_valid_journal(dir_);
+    // Delivered records only follow a commit, so this one is a corrupt
+    // (not torn) tail: the scan stops there and keeps the valid prefix.
+    wire::Writer delivered;
+    delivered.u32(count);
+    append_record(seg_path(), RecordType::kDelivered, delivered.take());
+    const auto rec = recover(dir_);
+    EXPECT_FALSE(rec.torn_tail) << count;
+    EXPECT_EQ(rec.records_dropped, 1u) << count;
+    EXPECT_TRUE(rec.delivered.empty()) << count;
+    EXPECT_EQ(rec.resume_events, 9u) << count;
+  }
 }
 
 }  // namespace
